@@ -142,14 +142,19 @@ class LearnedModel:
 
 
 def model_from_checkpoint(path) -> LearnedModel:
+    """Load a learned model; its featurizer must be fully described by the meta."""
     from .model import load_checkpoint
 
     params, risk_head, meta = load_checkpoint(path)
-    feat = PolarFeaturizer(
-        fov=meta.get("fov", SensorConfig().fov),
-        max_range=meta.get("max_range", 5.0),
-        n_sectors=meta.get("n_sectors", 32),
-    )
+    missing = [k for k in ("fov", "max_range", "n_sectors") if k not in meta]
+    if missing:
+        raise ValueError(f"{path}: checkpoint meta lacks featurizer keys {missing}")
+    feat = PolarFeaturizer(fov=meta["fov"], max_range=meta["max_range"], n_sectors=meta["n_sectors"])
+    if feat.n_sectors + 2 != params.n_features:
+        raise ValueError(
+            f"{path}: n_sectors {feat.n_sectors} + 2 does not match the model's "
+            f"n_features {params.n_features}"
+        )
     return LearnedModel(params, risk_head, feat)
 
 
@@ -218,12 +223,15 @@ def make_predictor_factory(
     models: dict[str, LearnedModel] | None,
 ):
     models = models or {}
-    if method == "augmented":
-        return learned_factory(models["augmented"]), cfg
-    if method == "baseline_nll":
-        return learned_factory(models["baseline_nll"]), cfg
-    if method == "det":
-        return learned_factory(models["augmented"], sigma_override=ep.det_sigma), cfg
+    if method in ("augmented", "baseline_nll", "det"):
+        model = models["baseline_nll" if method == "baseline_nll" else "augmented"]
+        if model.params.horizon != cfg.horizon:
+            raise ValueError(
+                f"{method}: model horizon {model.params.horizon} does not match "
+                f"planner horizon {cfg.horizon}"
+            )
+        sigma_override = ep.det_sigma if method == "det" else None
+        return learned_factory(model, sigma_override=sigma_override), cfg
     if method == "raw_costmap":
         from dataclasses import replace
 

@@ -235,6 +235,11 @@ def predict(params: ModelParams, obs: ObservationVector, u: ControlSequence) -> 
     return out
 
 
+_SEGMENT = 9  # rollout poses per bounding segment
+_BLOCK_PAIRS = 2**18  # (pose, cloud point) pairs per row block
+_PRUNE_SLACK = 1e-9  # relative; far above the rounding of the pruning bound
+
+
 def worst_case_clearance(
     initial: RobotState,
     commands: np.ndarray,
@@ -246,18 +251,76 @@ def worst_case_clearance(
 
     commands: (n, H, 2); cloud_world: (P, 2) in the world frame. This is the
     single labeling function shared by dataset generation and oracle queries.
+    Non-finite commands, cloud points or rollout poses raise ValueError.
+
+    Exact bound-and-refine over row blocks of at most _BLOCK_PAIRS
+    (pose, point) pairs, so memory does not grow with n:
+
+    1. Bound. Each rollout's H+1 poses are cut into segments of _SEGMENT
+       poses (the last pose repeats as padding). A segment has a middle pose
+       m and a radius r = max |m - pose| over its poses. U, the least
+       |m - p| over the rollout's middles and the cloud points p, is the
+       distance of a real pair, so it bounds the answer from above.
+    2. Prune. By the triangle inequality every pose of a segment is at least
+       |m - p| - r from p, so a (segment, point) pair with
+       |m - p| > (r + U)(1 + _PRUNE_SLACK) cannot hold the minimum and is
+       dropped. The relative slack covers rounding at any coordinate scale.
+    3. Refine. For the surviving pairs the squared distance of every pose is
+       computed with the per-pair arithmetic of a dense evaluation of all
+       (n, H+1, P) pairs: the difference, then an einsum over the coordinate
+       axis. The per-rollout minimum is taken before the square root.
+
+    The pair attaining the dense minimum always survives and its squared
+    distance is computed identically, so the result equals the dense
+    evaluation bit for bit.
     """
     from .dynamics import rollout_batch  # local import keeps module load light
 
     commands = np.asarray(commands, dtype=float)
-    n = commands.shape[0]
+    if commands.ndim != 3 or commands.shape[2] != 2:
+        raise ValueError(f"commands must have shape (n, H, 2), got {commands.shape}")
+    if not np.isfinite(commands).all():
+        raise ValueError("commands contain non-finite values")
     cloud_world = np.asarray(cloud_world, dtype=float).reshape(-1, 2)
-    if cloud_world.shape[0] == 0:
+    if not np.isfinite(cloud_world).all():
+        raise ValueError("cloud_world contains non-finite points")
+    n = commands.shape[0]
+    n_points = cloud_world.shape[0]
+    if n_points == 0:
         return np.full(n, cap)
-    poses = rollout_batch(initial, commands, dt)
-    diff = poses[:, :, None, :2] - cloud_world[None, None, :, :]
-    d2 = np.einsum("nkpc,nkpc->nkp", diff, diff)
-    return np.sqrt(d2.min(axis=(1, 2)))
+    xy = rollout_batch(initial, commands, dt)[:, :, :2]
+    if not np.isfinite(xy).all():
+        raise ValueError("rollout poses are non-finite; check the initial state")
+
+    px, py = cloud_world.T
+    n_seg = -(-xy.shape[1] // _SEGMENT)
+    pad = n_seg * _SEGMENT - xy.shape[1]
+    rows = max(1, _BLOCK_PAIRS // (n_seg * _SEGMENT * n_points))
+    out = np.empty(n)
+    for lo in range(0, n, rows):
+        block = xy[lo : lo + rows]
+        nb = block.shape[0]
+        if pad:
+            block = np.concatenate([block, np.repeat(block[:, -1:], pad, axis=1)], axis=1)
+        seg = block.reshape(nb * n_seg, _SEGMENT, 2)
+        mid = seg[:, _SEGMENT // 2]
+        radius = np.sqrt(((seg - mid[:, None]) ** 2).sum(axis=2).max(axis=1))
+        dx = mid[:, :1] - px
+        dy = mid[:, 1:] - py
+        d2_mid = dx * dx + dy * dy  # (nb * n_seg, P)
+        upper = np.sqrt(d2_mid.reshape(nb, -1).min(axis=1))
+        reach = (radius.reshape(nb, n_seg) + upper[:, None]) * (1.0 + _PRUNE_SLACK)
+        keep = d2_mid <= (reach * reach).reshape(-1, 1)
+        s, p = np.divmod(np.flatnonzero(keep), n_points)
+        diff = seg[s]
+        diff[:, :, 0] -= px[p, None]
+        diff[:, :, 1] -= py[p, None]
+        d2 = np.einsum("kjc,kjc->kj", diff, diff)
+        # survivors come in row order, and every row keeps the pair behind U
+        kept = keep.reshape(nb, -1).sum(axis=1)
+        starts = np.concatenate([[0], np.cumsum(kept[:-1])]) * _SEGMENT
+        out[lo : lo + nb] = np.minimum.reduceat(d2.ravel(), starts)
+    return np.sqrt(out)
 
 
 def oracle_predict(

@@ -6,7 +6,7 @@ empirical MMD, keeps the lowest-risk subset, ranks it by total cost
 (state + risk + effort), and refreshes the sampling distribution from
 smoothed elite statistics. The best sample ever seen is retained and
 returned, which makes the per-call best cost non-increasing by construction
-(asserted every call).
+(checked every iteration; a regression raises PlanningError).
 """
 from __future__ import annotations
 
@@ -202,7 +202,11 @@ def plan(
                 min_risk=float(risk.min()),
             )
         )
-        assert m == 0 or stats[-1].best_cost <= stats[-2].best_cost, "best-ever cost regressed"
+        if m and not stats[-1].best_cost <= stats[-2].best_cost:
+            raise PlanningError(
+                f"best-ever cost regressed at iteration {m}: "
+                f"{stats[-2].best_cost} -> {stats[-1].best_cost}"
+            )
 
     total, u_best, (sc, rk, ef), (bmu, bsig, blam) = best
     controls = ControlSequence(u_best.reshape(cfg.horizon, 2), cfg.dt)

@@ -9,16 +9,20 @@ import pytest
 
 from clearnav.bench import (
     EpisodeConfig,
+    LearnedModel,
     SuiteConfig,
     emit_traces,
     grid_path_exists,
     make_clutter_world,
+    make_predictor_factory,
+    model_from_checkpoint,
     replay_trajectory,
     run_benchmark,
     run_episode,
     suite_worlds,
 )
 from clearnav.dynamics import RobotState
+from clearnav.model import ModelParams, PolarFeaturizer, save_checkpoint
 from clearnav.planner import PlannerConfig
 from clearnav.world import Box, Circle, NoiseModel, SensorConfig, World, true_clearance
 
@@ -100,6 +104,41 @@ class TestRunEpisode:
             )
             assert out.result in ("reached", "collided", "stuck", "timeout")
             results.add(out.result)
+
+
+class TestLearnedModelBoundaries:
+    META = {"fov": 1.2, "max_range": 5.0, "n_sectors": 32}
+
+    def params(self, horizon=50):
+        return ModelParams.init(np.random.default_rng(0), 34, horizon, hidden=8)
+
+    @pytest.mark.parametrize("method", ["augmented", "baseline_nll", "det"])
+    def test_horizon_mismatch_names_both(self, method):
+        model = LearnedModel(self.params(horizon=10), None, PolarFeaturizer(1.2, 5.0, 32))
+        models = {"augmented": model, "baseline_nll": model}
+        world = make_clutter_world(np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"model horizon 10 .* planner horizon 50"):
+            make_predictor_factory(method, world, quiet(), fast_planner(), EpisodeConfig(), models)
+
+    def test_checkpoint_round_trip(self, tmp_path):
+        path = tmp_path / "m.npz"
+        save_checkpoint(path, self.params(), None, self.META)
+        model = model_from_checkpoint(path)
+        assert model.featurizer == PolarFeaturizer(1.2, 5.0, 32)
+
+    @pytest.mark.parametrize("key", ["fov", "max_range", "n_sectors"])
+    def test_checkpoint_missing_featurizer_meta(self, tmp_path, key):
+        path = tmp_path / "m.npz"
+        meta = {k: v for k, v in self.META.items() if k != key}
+        save_checkpoint(path, self.params(), None, meta)
+        with pytest.raises(ValueError, match=key):
+            model_from_checkpoint(path)
+
+    def test_checkpoint_sector_count_mismatch(self, tmp_path):
+        path = tmp_path / "m.npz"
+        save_checkpoint(path, self.params(), None, dict(self.META, n_sectors=16))
+        with pytest.raises(ValueError, match="n_features 34"):
+            model_from_checkpoint(path)
 
 
 class TestBenchmark:

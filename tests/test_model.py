@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clearnav.dynamics import ControlSequence, RobotState, sample_controls
+import clearnav.data
+import clearnav.model
+from clearnav.bench import EpisodeConfig, make_clutter_world, run_episode
+from clearnav.data import generate_dataset
+from clearnav.dynamics import ControlSequence, RobotState, rollout_batch, sample_controls
 from clearnav.model import (
     LAMBDA_FLOOR,
     ClearancePrediction,
@@ -24,8 +29,10 @@ from clearnav.model import (
     softplus,
     worst_case_clearance,
 )
+from clearnav.planner import PlannerConfig
 from clearnav.world import (
     Circle,
+    NoiseModel,
     SensorConfig,
     World,
     body_to_world,
@@ -186,6 +193,152 @@ class TestWorstCaseClearance:
                 for cx, cy in cloud
             )
             assert got[i] == pytest.approx(brute, abs=1e-9)
+
+
+def dense_worst_case_clearance(initial, commands, cloud_world, dt, cap):
+    """Every (rollout pose, cloud point) pair at once: the exactness reference."""
+    commands = np.asarray(commands, dtype=float)
+    n = commands.shape[0]
+    cloud_world = np.asarray(cloud_world, dtype=float).reshape(-1, 2)
+    if cloud_world.shape[0] == 0:
+        return np.full(n, cap)
+    poses = rollout_batch(initial, commands, dt)
+    diff = poses[:, :, None, :2] - cloud_world[None, None, :, :]
+    d2 = np.einsum("nkpc,nkpc->nkp", diff, diff)
+    return np.sqrt(d2.min(axis=(1, 2)))
+
+
+@st.composite
+def clearance_cases(draw):
+    """(state, commands, cloud) covering the shapes and clouds the pruning must survive."""
+    n = draw(st.integers(1, 6))
+    horizon = draw(st.integers(1, 30))
+    n_points = draw(st.integers(0, 40))
+    cloud_kind = draw(st.sampled_from(["uniform", "duplicated", "far", "grid", "ring"]))
+    zero_commands = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state = RobotState(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-math.pi, math.pi))
+    commands = np.zeros((n, horizon, 2))
+    if not zero_commands:
+        commands[:, :, 0] = rng.uniform(0, 1, (n, horizon))
+        commands[:, :, 1] = rng.uniform(-1, 1, (n, horizon))
+    cloud = rng.uniform(-4, 4, (n_points, 2))
+    if cloud_kind == "duplicated" and n_points:
+        cloud = cloud[rng.integers(0, n_points, n_points)]
+    elif cloud_kind == "far":
+        cloud += 1e3
+    elif cloud_kind == "grid":  # coarse lattice: many exact distance ties
+        cloud = np.round(cloud * 2) / 2
+    elif cloud_kind == "ring":  # equidistant from the start pose: little to prune
+        ang = rng.uniform(-math.pi, math.pi, n_points)
+        cloud = np.stack([state.x + 1.5 * np.cos(ang), state.y + 1.5 * np.sin(ang)], axis=1)
+    return state, commands, cloud
+
+
+class TestWorstCaseClearanceExact:
+    """Bound-and-refine against the dense all-pairs evaluation, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(clearance_cases())
+    def test_equals_dense_reference(self, case):
+        state, commands, cloud = case
+        got = worst_case_clearance(state, commands, cloud, 0.1, 5.0)
+        assert np.array_equal(got, dense_worst_case_clearance(state, commands, cloud, 0.1, 5.0))
+
+    @pytest.mark.parametrize(
+        "n, horizon, cloud",
+        [
+            (3, 50, np.empty((0, 2))),  # empty cloud -> cap
+            (4, 50, np.array([[1.0, 0.5]])),  # single point
+            (4, 50, np.repeat([[1.0, 0.5], [-0.5, 2.0]], 5, axis=0)),  # duplicated points
+            (4, 50, np.array([[900.0, -700.0], [1e3, 1e3]])),  # far beyond every rollout
+            (2, 12, np.array([[0.3, 0.2], [2.0, -1.0]])),  # H+1 not a multiple of the segment
+            (1, 50, np.array([[0.3, 0.2], [2.0, -1.0]])),  # n = 1
+            (3, 1, np.array([[0.3, 0.2], [2.0, -1.0]])),  # H = 1
+        ],
+    )
+    def test_named_cases(self, n, horizon, cloud, rng):
+        state = RobotState(0.1, -0.2, 0.4)
+        cmds = np.stack([rng.uniform(0, 1, (n, horizon)), rng.uniform(-1, 1, (n, horizon))], axis=2)
+        for commands in (cmds, np.zeros_like(cmds)):
+            got = worst_case_clearance(state, commands, cloud, 0.1, 5.0)
+            assert np.array_equal(got, dense_worst_case_clearance(state, commands, cloud, 0.1, 5.0))
+
+    def test_dataset_labels_unchanged(self, monkeypatch):
+        sensor = SensorConfig(noise=NoiseModel(range_bias_scale=0.2, additive_sigma=0.04))
+        worlds = [make_clutter_world(np.random.default_rng(s)) for s in (3, 4)]
+
+        def labels():
+            return generate_dataset(worlds, 6, np.random.default_rng(11), sensor, seed=11).clearance
+
+        fast = labels()
+        monkeypatch.setattr(clearnav.data, "worst_case_clearance", dense_worst_case_clearance)
+        assert np.array_equal(fast, labels())
+
+    @pytest.mark.parametrize("method", ["oracle", "raw_costmap"])
+    def test_episode_traces_unchanged(self, method, monkeypatch):
+        world = make_clutter_world(np.random.default_rng(42))
+        sensor = SensorConfig(noise=NoiseModel(range_bias_scale=0.22, additive_sigma=0.04))
+        cfg = PlannerConfig(iterations=4, samples=64, risk_elites=16, elites=8, risk_draws=20)
+
+        def episode():
+            return run_episode(world, method, 5, sensor, cfg, EpisodeConfig(timeout_s=3.0))
+
+        fast = episode()
+        monkeypatch.setattr(clearnav.model, "worst_case_clearance", dense_worst_case_clearance)
+        ref = episode()
+        assert fast.result == ref.result
+        assert np.array_equal(fast.commands, ref.commands)
+        for key in ("mu", "sigma", "lam", "risk", "x", "y"):
+            assert np.array_equal(fast.trace[key], ref.trace[key]), key
+
+    @pytest.mark.parametrize("kind", ["random", "ring"])
+    def test_memory_bounded(self, kind):
+        # the dense evaluation of this call would hold ~500 MB of temporaries;
+        # "ring" puts the cloud equidistant from stationary rollouts, so no pair
+        # is pruned and every block refines all of its pairs
+        rng = np.random.default_rng(0)
+        n, horizon, n_points = 2048, 50, 300
+        state = RobotState(0.0, 0.0, 0.0)
+        if kind == "random":
+            commands = np.stack(
+                [rng.uniform(0, 1, (n, horizon)), rng.uniform(-1, 1, (n, horizon))], axis=2
+            )
+            cloud = rng.uniform(-4, 4, (n_points, 2))
+        else:
+            commands = np.zeros((n, horizon, 2))
+            ang = np.linspace(-math.pi, math.pi, n_points, endpoint=False)
+            cloud = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        tracemalloc.start()
+        try:
+            out = worst_case_clearance(state, commands, cloud, 0.1, 5.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n,) and np.isfinite(out).all()
+        assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("shape", [(4, 50), (4, 50, 3), (50, 2)])
+    def test_rejects_bad_command_shape(self, shape):
+        with pytest.raises(ValueError, match=r"\(n, H, 2\)"):
+            worst_case_clearance(RobotState(0, 0, 0), np.zeros(shape), np.ones((3, 2)), 0.1, 5.0)
+
+    def test_rejects_nan_cloud(self):
+        cloud = np.array([[1.0, 0.0], [np.nan, 2.0]])
+        with pytest.raises(ValueError, match="cloud_world"):
+            worst_case_clearance(RobotState(0, 0, 0), np.zeros((2, 10, 2)), cloud, 0.1, 5.0)
+
+    def test_rejects_nonfinite_commands(self):
+        commands = np.zeros((2, 10, 2))
+        commands[1, 3, 1] = np.inf
+        with pytest.raises(ValueError, match="commands"):
+            worst_case_clearance(RobotState(0, 0, 0), commands, np.ones((3, 2)), 0.1, 5.0)
+
+    def test_rejects_nonfinite_state(self):
+        with pytest.raises(ValueError, match="initial state"):
+            worst_case_clearance(
+                RobotState(np.nan, 0, 0), np.zeros((2, 10, 2)), np.ones((3, 2)), 0.1, 5.0
+            )
 
 
 class TestCheckpoint:
