@@ -10,7 +10,7 @@ from .dynamics import (
     ControlSequence,
     RobotState,
     Trajectory,
-    clip_controls,
+    clip_command_batch,
     rollout,
     sample_controls,
 )
@@ -29,33 +29,26 @@ from .world import (
     true_clearance,
 )
 from .model import (
-    ClearancePrediction,
     ModelParams,
-    ObservationVector,
     PolarFeaturizer,
     RiskHeadParams,
-    featurize,
     load_checkpoint,
-    oracle_predict,
-    predict,
+    predict_batch,
     save_checkpoint,
+    worst_case_clearance,
 )
 from .risk import (
     chance_probability_oracle,
     draw_dirac_samples,
-    empirical_mmd,
-    laplacian_kernel,
+    mmd_batch,
     residual,
 )
-from .data import ClearanceDataset, TrainingSample, generate_dataset
+from .data import ClearanceDataset, generate_dataset
 from .training import (
     TrainConfig,
     TrainingDiverged,
-    ce_loss,
     finite_difference_check,
-    nll_loss,
-    reparameterize,
-    risk_head,
+    loss_and_grad,
     train,
 )
 from .planner import PlannerConfig, PlanResult, PlanningError, mpc_step, plan, state_cost

@@ -22,12 +22,19 @@ import math
 import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .dynamics import RobotState
-from .model import ModelParams, PolarFeaturizer, RiskHeadParams, predict_batch
+from .dynamics import RobotState, step
+from .model import (
+    DEFAULT_LAMBDA,
+    ModelParams,
+    PolarFeaturizer,
+    RiskHeadParams,
+    load_checkpoint,
+    predict_batch,
+)
 from .planner import PlannerConfig, PlanResult, SimState, mpc_step
 from .world import (
     BiasField,
@@ -143,8 +150,6 @@ class LearnedModel:
 
 def model_from_checkpoint(path) -> LearnedModel:
     """Load a learned model; its featurizer must be fully described by the meta."""
-    from .model import load_checkpoint
-
     params, risk_head, meta = load_checkpoint(path)
     missing = [k for k in ("fov", "max_range", "n_sectors") if k not in meta]
     if missing:
@@ -162,7 +167,7 @@ def learned_factory(model: LearnedModel, sigma_override: float | None = None):
     """Predictor factory for the learned methods; optional forced spread (det)."""
 
     def factory(std_cloud: np.ndarray, state: RobotState):
-        obs = model.featurizer.featurize(std_cloud, state).vector
+        obs = model.featurizer.featurize(std_cloud, state)
 
         def predictor(u_flat: np.ndarray):
             mu, sigma, lam = predict_batch(model.params, obs, u_flat)
@@ -177,6 +182,8 @@ def learned_factory(model: LearnedModel, sigma_override: float | None = None):
 
 def _cloud_clearance_predictor(cloud_world: np.ndarray, state: RobotState, sigma: float,
                                lam: float, horizon: int, dt: float, cap: float):
+    # resolved at call time: a module-level binding here would bypass anything
+    # that replaces clearnav.model.worst_case_clearance (perfbench's span tracer)
     from .model import worst_case_clearance
 
     def predictor(u_flat: np.ndarray):
@@ -188,8 +195,6 @@ def _cloud_clearance_predictor(cloud_world: np.ndarray, state: RobotState, sigma
 
 def oracle_factory(world: World, sensor: SensorConfig, cfg: PlannerConfig, ep: EpisodeConfig):
     """Exact clearance against a fresh true scan from the current state."""
-    from .model import DEFAULT_LAMBDA
-
     def factory(std_cloud: np.ndarray, state: RobotState):
         cloud_world = body_to_world(raycast_scan(state, world, sensor), state)
         return _cloud_clearance_predictor(
@@ -202,8 +207,6 @@ def oracle_factory(world: World, sensor: SensorConfig, cfg: PlannerConfig, ep: E
 
 def costmap_factory(sensor: SensorConfig, cfg: PlannerConfig, ep: EpisodeConfig):
     """Trusts the noisy standardized cloud directly; near-deterministic check."""
-    from .model import DEFAULT_LAMBDA
-
     def factory(std_cloud: np.ndarray, state: RobotState):
         cloud_world = body_to_world(std_cloud, state)
         return _cloud_clearance_predictor(
@@ -233,8 +236,6 @@ def make_predictor_factory(
         sigma_override = ep.det_sigma if method == "det" else None
         return learned_factory(model, sigma_override=sigma_override), cfg
     if method == "raw_costmap":
-        from dataclasses import replace
-
         return costmap_factory(sensor, cfg, ep), replace(cfg, d_o=ep.costmap_inflation)
     if method == "oracle":
         return oracle_factory(world, sensor, cfg, ep), cfg
@@ -475,10 +476,14 @@ def run_benchmark(
 
     Episode e of every method shares world e and the episode seed [seed, e],
     so methods face identical scenarios. Results are deterministic for a given
-    (seed, config) regardless of worker count.
+    (seed, config) regardless of worker count. Worker processes load learned
+    models from `model_paths`, so workers > 1 with a learned method needs it.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
+    needs_models = any(m in ("augmented", "baseline_nll", "det") for m in methods)
+    if workers > 1 and needs_models and model_paths is None:
+        raise ValueError("workers > 1 with a learned method needs model_paths (checkpoint files)")
     ep = episode_cfg or EpisodeConfig()
     worlds = suite_worlds(episodes, seed, suite)
     cfg_payload = {
@@ -495,9 +500,7 @@ def run_benchmark(
     for method in methods:
         for e, world in enumerate(worlds):
             jobs.append((method, e, world))
-    needs_models = any(m in ("augmented", "baseline_nll", "det") for m in methods)
-    use_pool = workers > 1 and (not needs_models or model_paths is not None)
-    if use_pool:
+    if workers > 1:
         arglist = [
             (world_to_dict(w), m, _episode_seed(seed, e), sensor_to_dict(sensor), planner_cfg, ep, model_paths)
             for (m, e, w) in jobs
@@ -571,8 +574,6 @@ def emit_traces(outcome: EpisodeOutcome, out_dir, stem: str = "episode") -> tupl
 
 def replay_trajectory(replay_path) -> tuple[World, np.ndarray]:
     """Re-simulate the recorded commands; returns (world, states (n+1, 5))."""
-    from .dynamics import step
-
     with open(replay_path) as f:
         doc = json.load(f)
     world = world_from_dict(doc["world"])

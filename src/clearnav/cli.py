@@ -85,15 +85,12 @@ def cmd_episode(args) -> int:
     world, sensor, seed, _ = load_scenario(args.scenario)
     if args.seed is not None:
         seed = args.seed
-    out = run_episode(
-        world,
-        args.method,
-        seed,
-        sensor,
-        _planner_from_json(args.planner_config),
-        EpisodeConfig(),
-        _load_models(args),
-    )
+    cfg = _planner_from_json(args.planner_config)
+    try:
+        world.validate(cfg.d_o)
+    except ValueError as e:
+        raise SystemExit(f"{args.scenario}: {e}") from None
+    out = run_episode(world, args.method, seed, sensor, cfg, EpisodeConfig(), _load_models(args))
     csv_path, replay_path = emit_traces(out, args.out, stem=f"{args.method}")
     print(
         f"{args.method}: {out.result} in {out.duration:.1f}s, "

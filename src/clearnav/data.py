@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ControlSequence, RobotState, sample_controls
+from .dynamics import RobotState, sample_controls
 from .model import worst_case_clearance
 from .world import (
     BiasField,
@@ -28,17 +28,6 @@ from .world import (
 
 DATASET_VERSION = 1
 CLOUD_SIZE = 300
-
-
-@dataclass(frozen=True, eq=False)
-class TrainingSample:
-    """One labeled (cloud, state, commands) triple; cloud is shared per snapshot."""
-
-    cloud: np.ndarray  # (300, 2) standardized noisy scan, body frame
-    state: RobotState
-    controls: ControlSequence
-    clearance: float  # ground-truth worst-case clearance (m)
-    label: np.ndarray  # one-hot [collision, safe]
 
 
 @dataclass(eq=False)
@@ -67,18 +56,6 @@ class ClearanceDataset:
     @property
     def n_snapshots(self) -> int:
         return self.clouds.shape[0]
-
-    def __getitem__(self, i: int) -> TrainingSample:
-        s = self.snapshot[i]
-        x, y, psi, v, w = self.states[s]
-        label = np.array([0.0, 1.0]) if self.safe[i] else np.array([1.0, 0.0])
-        return TrainingSample(
-            cloud=self.clouds[s],
-            state=RobotState(x, y, psi, v, w),
-            controls=ControlSequence(self.controls[i], self.dt),
-            clearance=float(self.clearance[i]),
-            label=label,
-        )
 
     def save(self, path) -> None:
         np.savez_compressed(
@@ -113,11 +90,6 @@ class ClearanceDataset:
                 fov=float(fov),
                 max_range=float(max_range),
             )
-
-
-def label_for(clearance: float, d_o: float) -> np.ndarray:
-    """One-hot target: [0, 1] when -clearance + d_o <= 0 (safe), else [1, 0]."""
-    return np.array([0.0, 1.0]) if -clearance + d_o <= 0.0 else np.array([1.0, 0.0])
 
 
 def sample_free_pose(
@@ -167,8 +139,7 @@ def generate_dataset(
             noisy = estimated_scan(state, world, sensor, rng, t=0, bias=bias)
             cloud = standardize_cloud(noisy, sensor, rng, CLOUD_SIZE)
             reference = body_to_world(raycast_scan(state, world, sensor), state)
-            seqs = sample_controls(rng, sequences_per_snapshot, horizon, dt)
-            cmd = np.stack([s.commands for s in seqs])
+            cmd = sample_controls(rng, sequences_per_snapshot, horizon)
             d = worst_case_clearance(state, cmd, reference, dt, sensor.max_range)
             clouds.append(cloud)
             states.append(state.as_array())

@@ -1,4 +1,4 @@
-"""Unicycle kinematics, control-sequence sampling/clipping, trajectory rollout."""
+"""Unicycle kinematics, command sampling and clamping, trajectory rollout."""
 from __future__ import annotations
 
 import math
@@ -54,18 +54,6 @@ class ControlSequence:
     def horizon(self) -> int:
         return self.commands.shape[0]
 
-    def flat(self) -> np.ndarray:
-        """Row-major flattening: [v_0, w_0, v_1, w_1, ...]."""
-        return self.commands.ravel()
-
-    def within_bounds(self, tol: float = 0.0) -> bool:
-        v, w = self.commands[:, 0], self.commands[:, 1]
-        return bool(
-            (v >= V_MIN - tol).all()
-            and (v <= V_MAX + tol).all()
-            and (np.abs(w) <= OMEGA_MAX + tol).all()
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -76,10 +64,6 @@ class Trajectory:
     @property
     def xy(self) -> np.ndarray:
         return self.states[:, :2]
-
-    def state_at(self, k: int) -> RobotState:
-        x, y, psi, v, w = self.states[k]
-        return RobotState(x, y, psi, v, w)
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -140,13 +124,8 @@ def rollout_batch(initial: RobotState, commands: np.ndarray, dt: float) -> np.nd
     return poses
 
 
-def sample_controls(
-    rng: np.random.Generator,
-    n: int,
-    horizon: int = DEFAULT_HORIZON,
-    dt: float = DEFAULT_DT,
-) -> list[ControlSequence]:
-    """Draw n command sequences, each entry uniform on [-1, 1] with v clamped to [0, 1].
+def sample_controls(rng: np.random.Generator, n: int, horizon: int = DEFAULT_HORIZON) -> np.ndarray:
+    """Draw n command sequences (n, H, 2), each entry uniform on [-1, 1] with v clamped to [0, 1].
 
     The clamp leaves a point mass at v = 0 (mass 1/2 per step); kept deliberately.
     """
@@ -154,16 +133,7 @@ def sample_controls(
         raise ValueError("n must be >= 1")
     raw = rng.uniform(-1.0, 1.0, size=(n, horizon, 2))
     raw[:, :, 0] = np.clip(raw[:, :, 0], V_MIN, V_MAX)
-    return [ControlSequence(raw[i], dt) for i in range(n)]
-
-
-def clip_controls(raw: np.ndarray, dt: float = DEFAULT_DT) -> ControlSequence:
-    """Componentwise clamp of a raw (H, 2) array into the command box."""
-    raw = np.asarray(raw, dtype=float)
-    clipped = np.empty_like(raw)
-    clipped[:, 0] = np.clip(raw[:, 0], V_MIN, V_MAX)
-    clipped[:, 1] = np.clip(raw[:, 1], -OMEGA_MAX, OMEGA_MAX)
-    return ControlSequence(clipped, dt)
+    return raw
 
 
 def clip_command_batch(raw: np.ndarray) -> np.ndarray:

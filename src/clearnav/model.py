@@ -8,13 +8,13 @@ keeps every nonlinearity smooth.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ControlSequence, RobotState, rollout
-from .world import SensorConfig, World, body_to_world, raycast_scan
+from .dynamics import RobotState
 
 LAMBDA_FLOOR = 1e-3  # kernel width lower bound (m)
 DEFAULT_LAMBDA = 0.1  # width used when no learned head is available
@@ -38,22 +38,6 @@ def sigmoid(x):
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class ObservationVector:
-    """Sector min-range features in [0, 1] plus the current commanded velocities."""
-
-    sector_ranges: np.ndarray  # (S,)
-    v0: float
-    omega0: float
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.sector_ranges, [self.v0, self.omega0]])
-
-    def __len__(self) -> int:
-        return self.sector_ranges.shape[0] + 2
-
-
 @dataclass(frozen=True)
 class PolarFeaturizer:
     """Deterministic cloud featurizer: min normalized range per angular sector."""
@@ -62,7 +46,8 @@ class PolarFeaturizer:
     max_range: float
     n_sectors: int = DEFAULT_SECTORS
 
-    def featurize(self, cloud: np.ndarray, state: RobotState) -> ObservationVector:
+    def featurize(self, cloud: np.ndarray, state: RobotState) -> np.ndarray:
+        """(S + 2,) observation: sector min-ranges in [0, 1], then the commanded v, omega."""
         cloud = np.asarray(cloud, dtype=float).reshape(-1, 2)
         feats = np.ones(self.n_sectors)
         if cloud.shape[0]:
@@ -71,43 +56,60 @@ class PolarFeaturizer:
             idx = np.floor((bearing + self.fov / 2.0) / self.fov * self.n_sectors).astype(int)
             idx = np.clip(idx, 0, self.n_sectors - 1)
             np.minimum.at(feats, idx, rng_norm)
-        return ObservationVector(feats, float(state.v), float(state.omega))
+        return np.concatenate([feats, [float(state.v), float(state.omega)]])
 
 
-def featurize(
-    cloud: np.ndarray,
-    state: RobotState,
-    sensor: SensorConfig,
-    n_sectors: int = DEFAULT_SECTORS,
-) -> ObservationVector:
-    return PolarFeaturizer(sensor.fov, sensor.max_range, n_sectors).featurize(cloud, state)
+def _model_shapes(n_features: int, horizon: int, hidden: int) -> tuple[tuple[int, ...], ...]:
+    """Shapes of w1, b1, w2, b2, w3, b3."""
+    n_in = n_features + 2 * horizon
+    return ((hidden, n_in), (hidden,), (hidden, hidden), (hidden,), (3, hidden), (3,))
 
 
-@dataclass(frozen=True)
-class ClearancePrediction:
-    """Predicted clearance distribution (mean mu, std sigma) plus kernel width lam."""
-
-    mu: float
-    sigma: float
-    lam: float
+def _risk_head_shapes(hidden: int) -> tuple[tuple[int, ...], ...]:
+    """Shapes of v1, c1, v2, c2."""
+    return ((hidden,), (hidden,), (2, hidden), (2,))
 
 
-@dataclass(eq=False)
-class ModelParams:
+class _FlatParams:
+    """Parameters held in one flat vector; each named array is a view into it.
+
+    A float64 vector is used as given, not copied: updating `vector` in place
+    updates every named array, and writing into a named array writes into
+    `vector`.
+    """
+
+    names: tuple[str, ...] = ()
+
+    def __init__(self, vector: np.ndarray, shapes: tuple[tuple[int, ...], ...]):
+        vector = np.asarray(vector, dtype=float)
+        size = sum(math.prod(shape) for shape in shapes)
+        if vector.shape != (size,):
+            raise ValueError(f"parameter vector has shape {vector.shape}, expected ({size},)")
+        self.vector = vector
+        off = 0
+        for name, shape in zip(self.names, shapes):
+            n = math.prod(shape)
+            setattr(self, name, vector[off : off + n].reshape(shape))
+            off += n
+
+
+class ModelParams(_FlatParams):
     """Weights of the prediction network: 2 tanh hidden layers, 3 linear heads.
 
     Head rows of w3/b3: 0 = clearance mean, 1 = pre-softplus spread,
     2 = pre-softplus kernel width (floored additively at LAMBDA_FLOOR).
     """
 
-    w1: np.ndarray  # (hidden, n_inputs)
-    b1: np.ndarray
-    w2: np.ndarray  # (hidden, hidden)
-    b2: np.ndarray
-    w3: np.ndarray  # (3, hidden)
-    b3: np.ndarray
-    n_features: int
-    horizon: int
+    names = ("w1", "b1", "w2", "b2", "w3", "b3")
+
+    def __init__(self, vector: np.ndarray, n_features: int, horizon: int, hidden: int):
+        self.n_features = n_features
+        self.horizon = horizon
+        self.hidden = hidden
+        super().__init__(vector, _model_shapes(n_features, horizon, hidden))
+
+    def zeros_like(self) -> "ModelParams":
+        return ModelParams(np.zeros_like(self.vector), self.n_features, self.horizon, self.hidden)
 
     @classmethod
     def init(
@@ -118,74 +120,38 @@ class ModelParams:
         hidden: int = DEFAULT_HIDDEN,
     ) -> "ModelParams":
         n_in = n_features + 2 * horizon
-        return cls(
-            w1=rng.normal(0.0, 1.0 / math.sqrt(n_in), (hidden, n_in)),
-            b1=np.zeros(hidden),
-            w2=rng.normal(0.0, 1.0 / math.sqrt(hidden), (hidden, hidden)),
-            b2=np.zeros(hidden),
-            w3=rng.normal(0.0, 1.0 / math.sqrt(hidden), (3, hidden)),
-            b3=np.zeros(3),
-            n_features=n_features,
-            horizon=horizon,
+        parts = (
+            rng.normal(0.0, 1.0 / math.sqrt(n_in), (hidden, n_in)),
+            np.zeros(hidden),
+            rng.normal(0.0, 1.0 / math.sqrt(hidden), (hidden, hidden)),
+            np.zeros(hidden),
+            rng.normal(0.0, 1.0 / math.sqrt(hidden), (3, hidden)),
+            np.zeros(3),
         )
-
-    @property
-    def hidden(self) -> int:
-        return self.w1.shape[0]
-
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        return (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.arrays()])
-
-    def with_vector(self, vec: np.ndarray) -> "ModelParams":
-        parts = []
-        off = 0
-        for a in self.arrays():
-            parts.append(vec[off : off + a.size].reshape(a.shape).copy())
-            off += a.size
-        if off != vec.size:
-            raise ValueError("parameter vector length mismatch")
-        return ModelParams(*parts, n_features=self.n_features, horizon=self.horizon)
-
-    def copy(self) -> "ModelParams":
-        return self.with_vector(self.to_vector())
+        return cls(np.concatenate([p.ravel() for p in parts]), n_features, horizon, hidden)
 
 
-@dataclass(eq=False)
-class RiskHeadParams:
+class RiskHeadParams(_FlatParams):
     """Weights of the risk classifier: scalar risk -> tanh hidden -> 2 logits."""
 
-    v1: np.ndarray  # (hidden,)
-    c1: np.ndarray
-    v2: np.ndarray  # (2, hidden)
-    c2: np.ndarray
+    names = ("v1", "c1", "v2", "c2")
+
+    def __init__(self, vector: np.ndarray, hidden: int):
+        self.hidden = hidden
+        super().__init__(vector, _risk_head_shapes(hidden))
+
+    def zeros_like(self) -> "RiskHeadParams":
+        return RiskHeadParams(np.zeros_like(self.vector), self.hidden)
 
     @classmethod
     def init(cls, rng: np.random.Generator, hidden: int = 16) -> "RiskHeadParams":
-        return cls(
-            v1=rng.normal(0.0, 1.0, hidden),
-            c1=np.zeros(hidden),
-            v2=rng.normal(0.0, 1.0 / math.sqrt(hidden), (2, hidden)),
-            c2=np.zeros(2),
+        parts = (
+            rng.normal(0.0, 1.0, hidden),
+            np.zeros(hidden),
+            rng.normal(0.0, 1.0 / math.sqrt(hidden), (2, hidden)),
+            np.zeros(2),
         )
-
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        return (self.v1, self.c1, self.v2, self.c2)
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.arrays()])
-
-    def with_vector(self, vec: np.ndarray) -> "RiskHeadParams":
-        parts = []
-        off = 0
-        for a in self.arrays():
-            parts.append(vec[off : off + a.size].reshape(a.shape).copy())
-            off += a.size
-        if off != vec.size:
-            raise ValueError("parameter vector length mismatch")
-        return RiskHeadParams(*parts)
+        return cls(np.concatenate([p.ravel() for p in parts]), hidden)
 
 
 def forward_batch(params: ModelParams, x: np.ndarray, cache: bool = False):
@@ -216,23 +182,6 @@ def predict_batch(
         [np.broadcast_to(obs_vector, (u_flat.shape[0], obs_vector.shape[0])), u_flat], axis=1
     )
     return forward_batch(params, x)
-
-
-def predict(params: ModelParams, obs: ObservationVector, u: ControlSequence) -> ClearancePrediction:
-    """Single-query prediction; rejects non-finite parameters with diagnostics."""
-    if u.horizon != params.horizon:
-        raise ValueError(f"horizon mismatch: model {params.horizon}, sequence {u.horizon}")
-    mu, sigma, lam = predict_batch(params, obs.vector, u.flat()[None, :])
-    out = ClearancePrediction(float(mu[0]), float(sigma[0]), float(lam[0]))
-    if not (math.isfinite(out.mu) and math.isfinite(out.sigma) and math.isfinite(out.lam)):
-        bad = [
-            name
-            for name, arr in zip(("w1", "b1", "w2", "b2", "w3", "b3"), params.arrays())
-            if not np.isfinite(arr).all()
-        ]
-        detail = f"non-finite parameter arrays: {bad}" if bad else "non-finite inputs"
-        raise ValueError(f"prediction produced non-finite output ({out}); {detail}")
-    return out
 
 
 _SEGMENT = 9  # rollout poses per bounding segment
@@ -274,7 +223,9 @@ def worst_case_clearance(
     distance is computed identically, so the result equals the dense
     evaluation bit for bit.
     """
-    from .dynamics import rollout_batch  # local import keeps module load light
+    # resolved at call time: a module-level binding here would bypass anything
+    # that replaces clearnav.dynamics.rollout_batch (perfbench's span tracer)
+    from .dynamics import rollout_batch
 
     commands = np.asarray(commands, dtype=float)
     if commands.ndim != 3 or commands.shape[2] != 2:
@@ -323,25 +274,6 @@ def worst_case_clearance(
     return np.sqrt(out)
 
 
-def oracle_predict(
-    world: World,
-    state: RobotState,
-    u: ControlSequence,
-    sigma_fixed: float,
-    sensor: SensorConfig | None = None,
-    lam: float = DEFAULT_LAMBDA,
-) -> ClearancePrediction:
-    """Ground-truth stand-in: exact worst-case clearance against the true scan.
-
-    Scans the world noise-free from `state`, then evaluates the same labeling
-    function the dataset generator uses. sigma_fixed and lam pass through.
-    """
-    sensor = sensor or SensorConfig()
-    cloud_world = body_to_world(raycast_scan(state, world, sensor), state)
-    mu = worst_case_clearance(state, u.commands[None, :, :], cloud_world, u.dt, sensor.max_range)
-    return ClearancePrediction(float(mu[0]), float(sigma_fixed), float(lam))
-
-
 # ---------------------------------------------------------------------------
 # Checkpoints
 
@@ -358,35 +290,52 @@ def save_checkpoint(
         "horizon": np.array(params.horizon),
         "hidden": np.array(params.hidden),
     }
-    for name, arr in zip(("w1", "b1", "w2", "b2", "w3", "b3"), params.arrays()):
-        payload[name] = arr
+    for name in params.names:
+        payload[name] = getattr(params, name)
     if risk_head is not None:
-        for name, arr in zip(("rh_v1", "rh_c1", "rh_v2", "rh_c2"), risk_head.arrays()):
-            payload[name] = arr
+        for name in risk_head.names:
+            payload["rh_" + name] = getattr(risk_head, name)
     if meta:
-        import json
-
         payload["meta_json"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
     np.savez(path, **payload)
 
 
+def _checked_vector(path, z, keys, shapes, source: str) -> np.ndarray:
+    """Concatenate the stored arrays after checking each shape and that every value is finite."""
+    parts = []
+    for key, shape in zip(keys, shapes):
+        arr = z[key]
+        if arr.shape != shape:
+            raise ValueError(f"{path}: array {key} has shape {arr.shape}, but {source} need {shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: array {key} contains non-finite values")
+        parts.append(arr.ravel())
+    return np.concatenate(parts)
+
+
 def load_checkpoint(path) -> tuple[ModelParams, RiskHeadParams | None, dict]:
-    """Load (params, risk_head, meta) from an npz checkpoint; validates the version."""
+    """Load (params, risk_head, meta) from an npz checkpoint.
+
+    Rejects an unknown version, arrays whose shapes disagree with the stored
+    n_features / horizon / hidden (or, for the risk head, with the size of
+    rh_v1), and non-finite weights, naming the file and the array.
+    """
     with np.load(path) as z:
         version = int(z["version"])
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        params = ModelParams(
-            w1=z["w1"], b1=z["b1"], w2=z["w2"], b2=z["b2"], w3=z["w3"], b3=z["b3"],
-            n_features=int(z["n_features"]),
-            horizon=int(z["horizon"]),
+        n_features, horizon, hidden = int(z["n_features"]), int(z["horizon"]), int(z["hidden"])
+        source = f"n_features={n_features}, horizon={horizon}, hidden={hidden}"
+        vector = _checked_vector(
+            path, z, ModelParams.names, _model_shapes(n_features, horizon, hidden), source
         )
+        params = ModelParams(vector, n_features, horizon, hidden)
         risk_head = None
         if "rh_v1" in z:
-            risk_head = RiskHeadParams(v1=z["rh_v1"], c1=z["rh_c1"], v2=z["rh_v2"], c2=z["rh_c2"])
-        meta = {}
-        if "meta_json" in z:
-            import json
-
-            meta = json.loads(z["meta_json"].tobytes().decode())
+            k = z["rh_v1"].size
+            keys = ["rh_" + name for name in RiskHeadParams.names]
+            source = f"risk-head hidden={k} (the size of rh_v1)"
+            vector = _checked_vector(path, z, keys, _risk_head_shapes(k), source)
+            risk_head = RiskHeadParams(vector, k)
+        meta = json.loads(z["meta_json"].tobytes().decode()) if "meta_json" in z else {}
     return params, risk_head, meta

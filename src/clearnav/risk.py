@@ -1,9 +1,10 @@
-"""Collision-risk surrogate: constraint residuals, Laplacian kernel, empirical MMD.
+"""Collision-risk surrogate: constraint residuals and their empirical MMD to zero.
 
 The risk of a clearance distribution is the squared RKHS distance between the
 empirical embedding of its constraint-violation samples and the embedding of a
 near-Dirac reference at zero. Small values mean the violation mass sits at
-zero, i.e. the clearance constraint holds with high probability.
+zero, i.e. the clearance constraint holds with high probability. The kernel is
+the Laplacian K(z, z') = exp(-|z - z'| / lam) with width lam > 0.
 """
 from __future__ import annotations
 
@@ -19,13 +20,6 @@ def residual(d, d_o: float):
     return np.maximum(0.0, d_o - np.asarray(d, dtype=float))
 
 
-def laplacian_kernel(z, zp, lam: float):
-    """K(z, z') = exp(-|z - z'| / lam); lam is the kernel width."""
-    if lam <= 0:
-        raise ValueError("kernel width lam must be positive")
-    return np.exp(-np.abs(np.asarray(z, dtype=float) - np.asarray(zp, dtype=float)) / lam)
-
-
 def draw_dirac_samples(rng: np.random.Generator, n: int, variance: float = DIRAC_VARIANCE) -> np.ndarray:
     """n i.i.d. draws from the near-Dirac reference N(0, variance)."""
     if n < 1:
@@ -37,27 +31,14 @@ def draw_dirac_samples(rng: np.random.Generator, n: int, variance: float = DIRAC
     return rng.normal(0.0, np.sqrt(variance), n)
 
 
-def empirical_mmd(hbar: np.ndarray, delta: np.ndarray, lam: float) -> float:
-    """Squared MMD between the violation samples and the near-Dirac samples.
-
-    V-statistic expansion (diagonal terms included):
-        (1/N^2) sum_ij K(h_i, h_j) - (2/N^2) sum_ij K(h_i, d_j)
-        + (1/N^2) sum_ij K(d_i, d_j)
-    Floating-point cancellation can leave a tiny negative value; clamped to 0.
-    """
-    hbar = np.asarray(hbar, dtype=float).ravel()
-    delta = np.asarray(delta, dtype=float).ravel()
-    if hbar.shape != delta.shape:
-        raise ValueError(f"sample sets must match in length: {hbar.shape} vs {delta.shape}")
-    if hbar.size < 1:
-        raise ValueError("need at least one sample")
-    return float(mmd_batch(hbar[None, :], delta, np.array([lam]))[0])
-
-
 def mmd_batch(hbar: np.ndarray, delta: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Squared MMD per row of hbar (B, N) against delta ((N,) shared or (B, N)).
 
-    lam may be scalar or (B,). Values are clamped at 0 from below.
+    V-statistic expansion (diagonal terms included), per row:
+        (1/N^2) sum_ij K(h_i, h_j) - (2/N^2) sum_ij K(h_i, d_j)
+        + (1/N^2) sum_ij K(d_i, d_j)
+    lam may be scalar or (B,). Floating-point cancellation can leave a tiny
+    negative value, so values are clamped at 0 from below.
     """
     hbar = np.asarray(hbar, dtype=float)
     delta = np.asarray(delta, dtype=float)

@@ -1,4 +1,4 @@
-"""Losses, the risk head, and gradient-descent training of the clearance model.
+"""Batched losses, the risk head, and gradient-descent training of the clearance model.
 
 Two training modes mirror the two architectures:
 
@@ -28,15 +28,8 @@ import numpy as np
 
 from .data import ClearanceDataset
 from .dynamics import RobotState
-from .model import (
-    ClearancePrediction,
-    ModelParams,
-    PolarFeaturizer,
-    RiskHeadParams,
-    forward_batch,
-    sigmoid,
-)
-from .risk import draw_dirac_samples, empirical_mmd, mmd_batch_grad, residual
+from .model import ModelParams, PolarFeaturizer, RiskHeadParams, forward_batch, sigmoid
+from .risk import draw_dirac_samples, mmd_batch_grad
 
 MODES = ("baseline", "augmented", "nll_sigma_penalty")
 
@@ -72,37 +65,7 @@ class TrainConfig:
 
 
 # ---------------------------------------------------------------------------
-# Elementary losses and the sampling path
-
-def nll_loss(pred: ClearancePrediction, d_gt: float) -> float:
-    """Gaussian negative log-likelihood 0.5*log(2*pi*sigma^2) + (d-mu)^2/(2*sigma^2)."""
-    if pred.sigma <= 0:
-        raise ValueError("sigma must be positive")
-    var = pred.sigma**2
-    return 0.5 * math.log(2.0 * math.pi * var) + (d_gt - pred.mu) ** 2 / (2.0 * var)
-
-
-def ce_loss(yhat: np.ndarray, y: np.ndarray) -> float:
-    """Cross entropy -sum(y * log(yhat)); yhat must lie in the simplex interior."""
-    yhat = np.asarray(yhat, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return float(-(y * np.log(yhat)).sum())
-
-
-def clearance_from_eps(pred: ClearancePrediction, eps: np.ndarray) -> np.ndarray:
-    """Replay core of the reparameterization: mu + sigma * eps."""
-    return pred.mu + pred.sigma * np.asarray(eps, dtype=float)
-
-
-def reparameterize(
-    pred: ClearancePrediction, rng: np.random.Generator, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n clearance samples mu + sigma*eps; returns (samples, eps) for replay."""
-    if pred.sigma <= 0:
-        raise ValueError("sigma must be positive")
-    eps = rng.standard_normal(n)
-    return clearance_from_eps(pred, eps), eps
-
+# The shared forward pass and hand-derived gradients
 
 def _softmax(z: np.ndarray) -> np.ndarray:
     m = z.max(axis=1, keepdims=True)
@@ -117,27 +80,6 @@ def risk_head_forward(r: np.ndarray, phi: RiskHeadParams):
     z = a1 @ phi.v2.T + phi.c2
     return _softmax(z), (a1, z)
 
-
-def risk_head(
-    pred: ClearancePrediction,
-    phi: RiskHeadParams,
-    rng: np.random.Generator,
-    cfg: TrainConfig,
-) -> np.ndarray:
-    """Full pipeline for one prediction: sample, violate, embed, classify.
-
-    Returns the softmax output [p(collision), p(safe)].
-    """
-    samples, _ = reparameterize(pred, rng, cfg.risk_samples)
-    hbar = residual(samples, cfg.d_o)
-    dirac = draw_dirac_samples(rng, cfg.risk_samples, cfg.dirac_variance)
-    r = empirical_mmd(hbar, dirac, pred.lam)
-    yhat, _ = risk_head_forward(np.array([r]), phi)
-    return yhat[0]
-
-
-# ---------------------------------------------------------------------------
-# Batched loss + hand-derived gradients
 
 @dataclass(eq=False)
 class BatchNoise:
@@ -164,6 +106,53 @@ class LossTerms:
     penalty: float = 0.0
 
 
+@dataclass(eq=False)
+class _Pass:
+    """Forward-pass values shared by loss_and_grad and evaluate; risk fields are None without risk."""
+
+    mu: np.ndarray
+    sigma: np.ndarray
+    cache: tuple  # forward_batch intermediates (x, h1, h2, sraw, lraw)
+    err: np.ndarray  # d_gt - mu
+    var: np.ndarray  # sigma ** 2
+    nll: np.ndarray  # per-sample Gaussian negative log-likelihood
+    hbar: np.ndarray | None = None  # (B, N) violations max(0, d_o - (mu + sigma * eps))
+    r: np.ndarray | None = None  # (B,) MMD risk
+    dr_dh: np.ndarray | None = None
+    dr_dlam: np.ndarray | None = None
+    yhat: np.ndarray | None = None  # (B, 2) risk-head softmax [collision, safe]
+    a1: np.ndarray | None = None  # risk-head hidden activations
+    cls: np.ndarray | None = None  # (B,) class index, 1 = safe
+    ce: np.ndarray | None = None  # (B,) cross entropy of the true class
+
+
+def _forward(
+    params: ModelParams,
+    phi: RiskHeadParams,
+    x: np.ndarray,
+    d_gt: np.ndarray,
+    safe: np.ndarray,
+    noise: BatchNoise,
+    cfg: TrainConfig,
+    risk: bool,
+) -> _Pass:
+    """Network and NLL; with risk also reparameterized samples mu + sigma * eps,
+    their violations, the MMD against the near-Dirac draws, and the risk head."""
+    mu, sigma, lam, cache = forward_batch(params, x, cache=True)
+    var = sigma**2
+    err = d_gt - mu
+    nll = 0.5 * np.log(2.0 * math.pi * var) + err**2 / (2.0 * var)
+    out = _Pass(mu, sigma, cache, err, var, nll)
+    if risk:
+        d_samp = mu[:, None] + sigma[:, None] * noise.eps
+        out.hbar = np.maximum(0.0, cfg.d_o - d_samp)
+        out.r, out.dr_dh, out.dr_dlam = mmd_batch_grad(out.hbar, noise.dirac, lam)
+        out.yhat, (out.a1, _) = risk_head_forward(out.r, phi)
+        out.cls = safe.astype(int)
+        out.ce = -np.log(out.yhat[np.arange(out.cls.size), out.cls])
+    return out
+
+
 def loss_and_grad(
     params: ModelParams,
     phi: RiskHeadParams,
@@ -182,48 +171,35 @@ def loss_and_grad(
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     b = x.shape[0]
-    mu, sigma, lam, (x, h1, h2, sraw, lraw) = forward_batch(params, x, cache=True)
-    var = sigma**2
-    err = d_gt - mu
-    nll = 0.5 * np.log(2.0 * math.pi * var) + err**2 / (2.0 * var)
-    nll_mean = float(nll.mean())
+    f = _forward(params, phi, x, d_gt, safe, noise, cfg, risk=mode == "augmented")
+    mu, sigma, var, err = f.mu, f.sigma, f.var, f.err
+    x, h1, h2, sraw, lraw = f.cache
+    nll_mean = float(f.nll.mean())
 
     dmu = cfg.nll_weight * (mu - d_gt) / var / b
     dsigma = cfg.nll_weight * (1.0 / sigma - err**2 / sigma**3) / b
     dlam = np.zeros(b)
-    grad_phi = RiskHeadParams(
-        v1=np.zeros_like(phi.v1),
-        c1=np.zeros_like(phi.c1),
-        v2=np.zeros_like(phi.v2),
-        c2=np.zeros_like(phi.c2),
-    )
+    grad = params.zeros_like()
+    grad_phi = phi.zeros_like()
 
     ce_mean = 0.0
     penalty = 0.0
     if mode == "augmented":
-        d_samp = mu[:, None] + sigma[:, None] * noise.eps
-        hbar = np.maximum(0.0, cfg.d_o - d_samp)
-        r, dr_dh, dr_dlam = mmd_batch_grad(hbar, noise.dirac, lam)
-        yhat, (a1, _) = risk_head_forward(r, phi)
-        cls = safe.astype(int)  # class 1 = safe
-        p_true = yhat[np.arange(b), cls]
-        ce = -np.log(p_true)
-        ce_mean = float(ce.mean())
-
+        ce_mean = float(f.ce.mean())
         onehot = np.zeros((b, 2))
-        onehot[np.arange(b), cls] = 1.0
-        dz = cfg.ce_weight * (yhat - onehot) / b
-        grad_phi.v2 = dz.T @ a1
-        grad_phi.c2 = dz.sum(axis=0)
+        onehot[np.arange(b), f.cls] = 1.0
+        dz = cfg.ce_weight * (f.yhat - onehot) / b
+        grad_phi.v2[...] = dz.T @ f.a1
+        grad_phi.c2[...] = dz.sum(axis=0)
         da1 = dz @ phi.v2
-        dpre1 = da1 * (1.0 - a1**2)
-        grad_phi.v1 = (dpre1 * r[:, None]).sum(axis=0)
-        grad_phi.c1 = dpre1.sum(axis=0)
+        dpre1 = da1 * (1.0 - f.a1**2)
+        grad_phi.v1[...] = (dpre1 * f.r[:, None]).sum(axis=0)
+        grad_phi.c1[...] = dpre1.sum(axis=0)
         dr = dpre1 @ phi.v1
 
-        dhbar = dr[:, None] * dr_dh
-        dlam = dr * dr_dlam
-        dd = -dhbar * (hbar > 0.0)
+        dhbar = dr[:, None] * f.dr_dh
+        dlam = dr * f.dr_dlam
+        dd = -dhbar * (f.hbar > 0.0)
         dmu = dmu + dd.sum(axis=1)
         dsigma = dsigma + (dd * noise.eps).sum(axis=1)
     elif mode == "nll_sigma_penalty":
@@ -233,42 +209,19 @@ def loss_and_grad(
     dsraw = dsigma * sigmoid(sraw)
     dlraw = dlam * sigmoid(lraw)
     dg = np.column_stack([dmu, dsraw, dlraw])
-    grad = ModelParams(
-        w3=dg.T @ h2,
-        b3=dg.sum(axis=0),
-        w1=np.empty(0),
-        b1=np.empty(0),
-        w2=np.empty(0),
-        b2=np.empty(0),
-        n_features=params.n_features,
-        horizon=params.horizon,
-    )
+    grad.w3[...] = dg.T @ h2
+    grad.b3[...] = dg.sum(axis=0)
     dh2 = dg @ params.w3
     dpre2 = dh2 * (1.0 - h2**2)
-    grad.w2 = dpre2.T @ h1
-    grad.b2 = dpre2.sum(axis=0)
+    grad.w2[...] = dpre2.T @ h1
+    grad.b2[...] = dpre2.sum(axis=0)
     dh1 = dpre2 @ params.w2
     dpre1h = dh1 * (1.0 - h1**2)
-    grad.w1 = dpre1h.T @ x
-    grad.b1 = dpre1h.sum(axis=0)
+    grad.w1[...] = dpre1h.T @ x
+    grad.b1[...] = dpre1h.sum(axis=0)
 
     total = cfg.nll_weight * nll_mean + cfg.ce_weight * ce_mean + penalty
     return LossTerms(total, nll_mean, ce_mean, penalty), grad, grad_phi
-
-
-def batch_loss(
-    params: ModelParams,
-    phi: RiskHeadParams,
-    x: np.ndarray,
-    d_gt: np.ndarray,
-    safe: np.ndarray,
-    noise: BatchNoise,
-    mode: str,
-    cfg: TrainConfig,
-) -> LossTerms:
-    """Loss only (no gradients); shares the exact forward path of loss_and_grad."""
-    terms, _, _ = loss_and_grad(params, phi, x, d_gt, safe, noise, mode, cfg)
-    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +264,7 @@ def build_inputs(dataset: ClearanceDataset, n_sectors: int = 32):
     obs = np.empty((dataset.n_snapshots, n_sectors + 2))
     for s in range(dataset.n_snapshots):
         x, y, psi, v, w = dataset.states[s]
-        obs[s] = featurizer.featurize(dataset.clouds[s], RobotState(x, y, psi, v, w)).vector
+        obs[s] = featurizer.featurize(dataset.clouds[s], RobotState(x, y, psi, v, w))
     n = len(dataset)
     u_flat = dataset.controls.reshape(n, -1)
     x_all = np.concatenate([obs[dataset.snapshot], u_flat], axis=1)
@@ -340,26 +293,18 @@ def evaluate(
     rng: np.random.Generator,
 ) -> dict:
     """Held-out metrics: NLL, CE, risk-head accuracy, spread statistics."""
-    mu, sigma, lam = forward_batch(params, x)
     noise = BatchNoise.draw(rng, x.shape[0], cfg)
-    d_samp = mu[:, None] + sigma[:, None] * noise.eps
-    hbar = np.maximum(0.0, cfg.d_o - d_samp)
-    r, _, _ = mmd_batch_grad(hbar, noise.dirac, lam)
-    yhat, _ = risk_head_forward(r, phi)
-    cls = safe.astype(int)
-    var = sigma**2
-    nll = 0.5 * np.log(2.0 * math.pi * var) + (d_gt - mu) ** 2 / (2.0 * var)
-    acc = float((yhat.argmax(axis=1) == cls).mean())
+    f = _forward(params, phi, x, d_gt, safe, noise, cfg, risk=True)
     return {
-        "nll": float(nll.mean()),
-        "ce": float(-np.log(yhat[np.arange(len(cls)), cls]).mean()),
-        "accuracy": acc,
-        "mean_sigma": float(sigma.mean()),
-        "median_sigma": float(np.median(sigma)),
-        "sigma": sigma,
-        "risk": r,
-        "yhat": yhat,
-        "mu": mu,
+        "nll": float(f.nll.mean()),
+        "ce": float(f.ce.mean()),
+        "accuracy": float((f.yhat.argmax(axis=1) == f.cls).mean()),
+        "mean_sigma": float(f.sigma.mean()),
+        "median_sigma": float(np.median(f.sigma)),
+        "sigma": f.sigma,
+        "risk": f.r,
+        "yhat": f.yhat,
+        "mu": f.mu,
     }
 
 
@@ -380,8 +325,8 @@ def train(dataset: ClearanceDataset, cfg: TrainConfig, mode: str) -> TrainResult
     rng = np.random.default_rng([cfg.seed, 29])
     params = ModelParams.init(rng, cfg.n_sectors + 2, dataset.horizon, cfg.hidden)
     phi = RiskHeadParams.init(rng, cfg.risk_hidden)
-    vel_theta = np.zeros(params.to_vector().size)
-    vel_phi = np.zeros(phi.to_vector().size)
+    vel_theta = np.zeros_like(params.vector)
+    vel_phi = np.zeros_like(phi.vector)
 
     log = TrainingLog()
     for epoch in range(cfg.epochs):
@@ -399,8 +344,8 @@ def train(dataset: ClearanceDataset, cfg: TrainConfig, mode: str) -> TrainResult
                     f"non-finite loss at epoch {epoch}, batch {n_batches}: "
                     f"nll={terms.nll:.4g} ce={terms.ce:.4g} penalty={terms.penalty:.4g}"
                 )
-            g_theta = grad.to_vector()
-            g_phi = grad_phi.to_vector()
+            g_theta = grad.vector
+            g_phi = grad_phi.vector
             if cfg.grad_clip is not None:
                 norm = math.sqrt(float(g_theta @ g_theta) + float(g_phi @ g_phi))
                 if norm > cfg.grad_clip:
@@ -409,8 +354,8 @@ def train(dataset: ClearanceDataset, cfg: TrainConfig, mode: str) -> TrainResult
                     g_phi = g_phi * scale
             vel_theta = cfg.momentum * vel_theta - cfg.learning_rate * g_theta
             vel_phi = cfg.momentum * vel_phi - cfg.learning_rate * g_phi
-            params = params.with_vector(params.to_vector() + vel_theta)
-            phi = phi.with_vector(phi.to_vector() + vel_phi)
+            params.vector += vel_theta
+            phi.vector += vel_phi
             nll_sum += terms.nll
             ce_sum += terms.ce
             n_batches += 1
@@ -464,29 +409,26 @@ def finite_difference_check(
     coordinates with negligible gradient are judged on absolute agreement.
     """
     _, grad, grad_phi = loss_and_grad(params, phi, x, d_gt, safe, noise, mode, cfg)
-    theta0 = params.to_vector()
-    phi0 = phi.to_vector()
-    analytic = np.concatenate([grad.to_vector(), grad_phi.to_vector()])
-    n_theta = theta0.size
-    n_total = n_theta + (phi0.size if mode == "augmented" else 0)
+    analytic = np.concatenate([grad.vector, grad_phi.vector])
+    n_theta = params.vector.size
+    n_total = n_theta + (phi.vector.size if mode == "augmented" else 0)
     coords = rng.choice(n_total, size=min(n_coords, n_total), replace=False)
 
-    def loss_at(theta_vec, phi_vec) -> float:
-        t = params.with_vector(theta_vec)
-        p = phi.with_vector(phi_vec)
-        return batch_loss(t, p, x, d_gt, safe, noise, mode, cfg).total
+    def loss() -> float:
+        return loss_and_grad(params, phi, x, d_gt, safe, noise, mode, cfg)[0].total
 
     errors = np.empty(coords.size)
     for j, c in enumerate(coords):
-        tp, tm = theta0.copy(), theta0.copy()
-        pp, pm = phi0.copy(), phi0.copy()
-        if c < n_theta:
-            tp[c] += delta
-            tm[c] -= delta
-        else:
-            pp[c - n_theta] += delta
-            pm[c - n_theta] -= delta
-        num = (loss_at(tp, pp) - loss_at(tm, pm)) / (2.0 * delta)
+        vec, k = (params.vector, c) if c < n_theta else (phi.vector, c - n_theta)
+        v0 = vec[k]
+        try:
+            vec[k] = v0 + delta
+            loss_plus = loss()
+            vec[k] = v0 - delta
+            loss_minus = loss()
+        finally:
+            vec[k] = v0
+        num = (loss_plus - loss_minus) / (2.0 * delta)
         ana = analytic[c]
         errors[j] = abs(ana - num) / max(abs(ana), abs(num), 1e-6)
     return {

@@ -152,6 +152,18 @@ class TestBenchmark:
         assert 0 <= stats["collision_pct"] <= 100
         assert a.episodes == 2 and len(a.outcomes["oracle"]) == 2
 
+    def test_pool_without_model_paths_rejected(self, monkeypatch):
+        # worker processes can only load learned models from checkpoint files
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr("clearnav.bench.run_episode", no_episode)
+        model = LearnedModel(ModelParams.init(np.random.default_rng(0), 34, 50, 8), None,
+                             PolarFeaturizer(1.2, 5.0, 32))
+        with pytest.raises(ValueError, match="model_paths"):
+            run_benchmark(["augmented"], 1, 0, quiet(), fast_planner(), models={"augmented": model},
+                          workers=2)
+
     def test_workers_do_not_change_results(self):
         cfg = fast_planner()
         ep = EpisodeConfig(timeout_s=45.0)

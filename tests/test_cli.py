@@ -8,7 +8,8 @@ import pytest
 
 from clearnav.cli import main
 from clearnav.data import ClearanceDataset
-from clearnav.world import NoiseModel, SensorConfig, save_scenario
+from clearnav.dynamics import RobotState
+from clearnav.world import Circle, NoiseModel, SensorConfig, World, save_scenario
 
 
 @pytest.fixture
@@ -57,6 +58,17 @@ def test_episode_and_replay(tmp_path, scenario_file, planner_file):
     states_csv = str(tmp_path / "states.csv")
     rc = main(["replay", "--replay", replay, "--out", states_csv])
     assert rc == 0 and os.path.exists(states_csv)
+
+
+def test_episode_rejects_blocked_start(tmp_path, planner_file):
+    # start 0.1 m from an obstacle, inside the 0.3 m robot radius
+    world = World((Circle(1.0, 0.0, 0.9),), (-5.0, -5.0, 5.0, 5.0), RobotState(0, 0, 0), (4.0, 0.0))
+    path = tmp_path / "blocked.json"
+    save_scenario(path, world, SensorConfig(noise=NoiseModel()), seed=0)
+    out_dir = tmp_path / "traces"
+    with pytest.raises(SystemExit, match=r"blocked\.json: start is within robot radius"):
+        main(["episode", "--scenario", str(path), "--planner-config", planner_file, "--out", str(out_dir)])
+    assert not out_dir.exists()
 
 
 def test_bench_command(tmp_path, planner_file):

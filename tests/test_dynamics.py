@@ -10,11 +10,17 @@ from hypothesis import strategies as st
 from clearnav.dynamics import (
     ControlSequence,
     RobotState,
-    clip_controls,
+    clip_command_batch,
     rollout,
     rollout_batch,
     sample_controls,
 )
+
+
+def within_bounds(commands) -> bool:
+    """Every (v, omega) pair in [0, 1] x [-1, 1]; commands (..., 2) or flat (..., 2H)."""
+    pairs = np.asarray(commands).reshape(-1, 2)
+    return bool(((pairs[:, 0] >= 0) & (pairs[:, 0] <= 1) & (np.abs(pairs[:, 1]) <= 1)).all())
 
 
 class TestRollout:
@@ -56,9 +62,8 @@ class TestRollout:
             assert traj.states[k, 2] == pytest.approx(0.25 + 0.1 * cmds[:k, 1].sum(), abs=1e-12)
 
     def test_step_distance_bounded(self, rng):
-        seqs = sample_controls(rng, 5)
-        for u in seqs:
-            traj = rollout(RobotState(0, 0, 0), u)
+        for commands in sample_controls(rng, 5):
+            traj = rollout(RobotState(0, 0, 0), ControlSequence(commands))
             steps = np.hypot(*np.diff(traj.xy, axis=0).T)
             assert steps.max() <= 0.1 + 1e-12
 
@@ -82,41 +87,41 @@ class TestRollout:
 class TestSampleControls:
     def test_clip_mass_at_zero(self):
         rng = np.random.default_rng(0)
-        seqs = sample_controls(rng, 2000)
-        v = np.concatenate([s.commands[:, 0] for s in seqs])
+        v = sample_controls(rng, 2000)[:, :, 0].ravel()
         assert v.size == 100_000
         assert (v == 0.0).mean() == pytest.approx(0.5, abs=0.01)
 
     def test_invariants_hold(self, rng):
-        for u in sample_controls(rng, 20):
-            assert u.horizon == 50
-            assert u.within_bounds()
+        commands = sample_controls(rng, 20)
+        assert commands.shape == (20, 50, 2)
+        assert within_bounds(commands)
 
     def test_seed_reproducible(self):
         a = sample_controls(np.random.default_rng(9), 5)
         b = sample_controls(np.random.default_rng(9), 5)
-        for ua, ub in zip(a, b):
-            assert np.array_equal(ua.commands, ub.commands)
+        assert np.array_equal(a, b)
 
 
 class TestClipControls:
+    """clip_command_batch on flat (n, 2H) rows [v_0, w_0, v_1, w_1, ...]."""
+
     def test_clamps_both_channels(self):
-        u = clip_controls(np.array([[1.4, -2.0]]))
-        assert u.commands[0] == pytest.approx([1.0, -1.0])
+        assert clip_command_batch(np.array([[1.4, -2.0]]))[0] == pytest.approx([1.0, -1.0])
 
     def test_identity_in_range(self, rng):
-        raw = rng.uniform([0, -1], [1, 1], (10, 2))
-        assert np.array_equal(clip_controls(raw).commands, raw)
+        raw = rng.uniform([0, -1], [1, 1], (10, 2)).reshape(1, -1)
+        assert np.array_equal(clip_command_batch(raw), raw)
 
     def test_lower_clamp_on_v(self):
-        u = clip_controls(np.array([[-0.3, 0.5]]))
-        assert u.commands[0] == pytest.approx([0.0, 0.5])
+        assert clip_command_batch(np.array([[-0.3, 0.5]]))[0] == pytest.approx([0.0, 0.5])
 
     @given(st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), min_size=1, max_size=60))
     @settings(max_examples=50, deadline=None)
     def test_always_within_bounds(self, rows):
-        u = clip_controls(np.array(rows))
-        assert u.within_bounds()
+        raw = np.array(rows).reshape(1, -1)
+        clipped = clip_command_batch(raw)
+        assert within_bounds(clipped)
+        assert np.array_equal(raw, np.array(rows).reshape(1, -1))  # input left unchanged
 
 
 def test_control_sequence_validation():

@@ -10,20 +10,16 @@ from hypothesis import strategies as st
 
 import clearnav.data
 import clearnav.model
-from clearnav.bench import EpisodeConfig, make_clutter_world, run_episode
+from clearnav.bench import EpisodeConfig, make_clutter_world, oracle_factory, run_episode
 from clearnav.data import generate_dataset
 from clearnav.dynamics import ControlSequence, RobotState, rollout_batch, sample_controls
 from clearnav.model import (
     LAMBDA_FLOOR,
-    ClearancePrediction,
     ModelParams,
     PolarFeaturizer,
     RiskHeadParams,
-    featurize,
     forward_batch,
     load_checkpoint,
-    oracle_predict,
-    predict,
     predict_batch,
     save_checkpoint,
     softplus,
@@ -45,34 +41,39 @@ def make_params(seed=0, n_features=34, horizon=50, hidden=64):
     return ModelParams.init(np.random.default_rng(seed), n_features, horizon, hidden)
 
 
+def featurize(cloud, state, sensor):
+    return PolarFeaturizer(sensor.fov, sensor.max_range).featurize(cloud, state)
+
+
 class TestFeaturize:
     def test_sentinel_cloud_saturates(self, quiet_sensor, rng):
         cloud = standardize_cloud(np.empty((0, 2)), quiet_sensor, rng)
         obs = featurize(cloud, RobotState(0, 0, 0, 0.4, -0.2), quiet_sensor)
-        assert obs.sector_ranges == pytest.approx(np.ones(32))
-        assert obs.vector[-2:] == pytest.approx([0.4, -0.2])
+        assert obs.shape == (34,)
+        assert obs[:32] == pytest.approx(np.ones(32))
+        assert obs[-2:] == pytest.approx([0.4, -0.2])
 
     def test_single_point_sector(self, quiet_sensor):
         # one return at range 1.0 with max_range 5.0 -> 0.2 in its sector
         cloud = np.array([[1.0, 0.0]])
-        obs = featurize(cloud, RobotState(0, 0, 0), quiet_sensor)
+        sectors = featurize(cloud, RobotState(0, 0, 0), quiet_sensor)[:32]
         bearing_zero_sector = 16  # fov/2 boundary maps bearing 0 to sector S/2
-        assert obs.sector_ranges[bearing_zero_sector] == pytest.approx(0.2)
-        others = np.delete(obs.sector_ranges, bearing_zero_sector)
+        assert sectors[bearing_zero_sector] == pytest.approx(0.2)
+        others = np.delete(sectors, bearing_zero_sector)
         assert others == pytest.approx(np.ones(31))
 
     def test_permutation_invariant(self, quiet_sensor, rng):
         cloud = rng.uniform(-2, 2, (300, 2))
         state = RobotState(0, 0, 0, 0.1, 0.1)
-        ref = featurize(cloud, state, quiet_sensor).vector
+        ref = featurize(cloud, state, quiet_sensor)
         for _ in range(100):
             shuffled = cloud[rng.permutation(300)]
-            assert np.array_equal(featurize(shuffled, state, quiet_sensor).vector, ref)
+            assert np.array_equal(featurize(shuffled, state, quiet_sensor), ref)
 
     def test_bounded_features(self, quiet_sensor, rng):
         cloud = rng.uniform(-8, 8, (300, 2))  # some beyond max_range
-        obs = featurize(cloud, RobotState(0, 0, 0), quiet_sensor)
-        assert (obs.sector_ranges >= 0).all() and (obs.sector_ranges <= 1).all()
+        sectors = featurize(cloud, RobotState(0, 0, 0), quiet_sensor)[:32]
+        assert (sectors >= 0).all() and (sectors <= 1).all()
 
 
 class TestPredict:
@@ -85,8 +86,8 @@ class TestPredict:
             assert lam[0] >= LAMBDA_FLOOR
 
     def test_zero_weight_network_is_constant(self, rng):
-        params = make_params()
-        zero = params.with_vector(np.zeros(params.to_vector().size))
+        zero = make_params()
+        zero.vector[:] = 0.0
         zero.b3[:] = [0.7, 0.1, -0.2]
         outs = [forward_batch(zero, rng.normal(0, 1, (1, 134))) for _ in range(5)]
         for mu, sigma, lam in outs:
@@ -101,7 +102,7 @@ class TestPredict:
         h1 = [math.tanh(sum(params.w1[i, j] * x[j] for j in range(134)) + params.b1[i]) for i in range(64)]
         h2 = [math.tanh(sum(params.w2[i, j] * h1[j] for j in range(64)) + params.b2[i]) for i in range(64)]
         g = [sum(params.w3[i, j] * h2[j] for j in range(64)) + params.b3[i] for i in range(3)]
-        mu, sigma, lam = forward_batch(params, x[None, :])
+        mu, sigma, lam = predict_batch(params, x[:34], x[34:])
         assert mu[0] == pytest.approx(g[0], abs=1e-10)
         assert sigma[0] == pytest.approx(math.log1p(math.exp(-abs(g[1]))) + max(g[1], 0), abs=1e-10)
         assert lam[0] == pytest.approx(1e-3 + math.log1p(math.exp(-abs(g[2]))) + max(g[2], 0), abs=1e-10)
@@ -117,55 +118,40 @@ class TestPredict:
             out = np.array(forward_batch(params, xp[None, :])).ravel()
             assert np.abs(out - base).max() < 1e-3  # O(delta) with moderate weights
 
-    def test_rejects_nonfinite_params(self, quiet_sensor, rng):
-        params = make_params()
-        params.w2[0, 0] = np.nan
-        cloud = standardize_cloud(np.empty((0, 2)), quiet_sensor, rng)
-        obs = featurize(cloud, RobotState(0, 0, 0), quiet_sensor)
-        u = sample_controls(rng, 1)[0]
-        with pytest.raises(ValueError, match="w2"):
-            predict(params, obs, u)
-
-    def test_horizon_mismatch(self, quiet_sensor, rng):
-        params = make_params(horizon=50)
-        cloud = standardize_cloud(np.empty((0, 2)), quiet_sensor, rng)
-        obs = featurize(cloud, RobotState(0, 0, 0), quiet_sensor)
-        with pytest.raises(ValueError, match="horizon"):
-            predict(params, obs, ControlSequence(np.zeros((10, 2))))
-
 
 class TestOraclePredict:
+    """The oracle predictor: exact clearance against a noise-free scan from the state."""
+
+    def predictor(self, world, state, sigma=0.05, sensor=None):
+        sensor = sensor or SensorConfig()
+        factory = oracle_factory(world, sensor, PlannerConfig(), EpisodeConfig(oracle_sigma=sigma))
+        return factory(None, state)
+
     def test_empty_world_capped(self, rng):
         world = World((), (-100, -100, 100, 100), RobotState(0, 0, 0), (3, 0))
-        u = sample_controls(rng, 1)[0]
-        pred = oracle_predict(world, world.start, u, sigma_fixed=0.05)
-        assert pred.mu == SensorConfig().max_range  # empty scan -> capped
+        mu, _, _ = self.predictor(world, world.start)(sample_controls(rng, 3).reshape(3, -1))
+        assert (mu == SensorConfig().max_range).all()  # empty scan -> capped
 
     def test_sigma_passthrough(self, circle_world, rng):
-        u = sample_controls(rng, 1)[0]
-        pred = oracle_predict(circle_world, circle_world.start, u, sigma_fixed=0.05)
-        assert pred.sigma == 0.05
+        predictor = self.predictor(circle_world, circle_world.start)
+        _, sigma, _ = predictor(sample_controls(rng, 3).reshape(3, -1))
+        assert (sigma == 0.05).all()
 
     def test_matches_label_function(self, rng):
         # cross-module consistency: oracle mu equals the dataset labeler
-        worlds = [
-            World(
-                (Circle(2.0, 0.5, 0.6), Circle(1.0, -1.5, 0.4)),
-                (-5, -5, 8, 5),
-                RobotState(0, 0, 0.2),
-                (5, 0),
-            )
-        ]
+        world = World(
+            (Circle(2.0, 0.5, 0.6), Circle(1.0, -1.5, 0.4)),
+            (-5, -5, 8, 5),
+            RobotState(0, 0, 0.2),
+            (5, 0),
+        )
         sensor = SensorConfig()
         for _ in range(100):
-            world = worlds[0]
             state = RobotState(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-3, 3))
-            u = sample_controls(rng, 10)[0]
+            commands = sample_controls(rng, 10)
             cloud_world = body_to_world(raycast_scan(state, world, sensor), state)
-            expected = worst_case_clearance(
-                state, u.commands[None, :, :], cloud_world, u.dt, sensor.max_range
-            )[0]
-            got = oracle_predict(world, state, u, 0.05, sensor).mu
+            expected = worst_case_clearance(state, commands, cloud_world, 0.1, sensor.max_range)
+            got, _, _ = self.predictor(world, state, sensor=sensor)(commands.reshape(10, -1))
             assert got == pytest.approx(expected, abs=1e-9)
 
 
@@ -342,32 +328,67 @@ class TestWorstCaseClearanceExact:
 
 
 class TestCheckpoint:
+    def save(self, path, params=None, phi=None, **replace):
+        """Save a checkpoint, then overwrite the named stored arrays."""
+        save_checkpoint(path, params or make_params(), phi, None)
+        data = dict(np.load(path))
+        data.update(replace)
+        np.savez(path, **data)
+
     def test_round_trip(self, tmp_path, rng):
         params = make_params(seed=5)
         phi = RiskHeadParams.init(rng, 16)
         path = tmp_path / "model.npz"
         save_checkpoint(path, params, phi, {"n_sectors": 32, "d_o": 0.3})
         p2, phi2, meta = load_checkpoint(path)
-        assert np.array_equal(p2.to_vector(), params.to_vector())
-        assert np.array_equal(phi2.to_vector(), phi.to_vector())
+        assert np.array_equal(p2.vector, params.vector)
+        assert np.array_equal(phi2.vector, phi.vector)
         assert meta == {"n_sectors": 32, "d_o": 0.3}
         assert p2.horizon == params.horizon and p2.n_features == params.n_features
+        assert p2.hidden == params.hidden and phi2.hidden == phi.hidden
 
-    def test_version_rejected(self, tmp_path, rng):
-        params = make_params()
+    def test_version_rejected(self, tmp_path):
         path = tmp_path / "model.npz"
-        save_checkpoint(path, params, None, None)
-        import numpy as _np
-
-        data = dict(_np.load(path))
-        data["version"] = _np.array(99)
-        _np.savez(path, **data)
+        self.save(path, version=np.array(99))
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
 
     def test_vector_round_trip(self):
+        # the named arrays are views of the flat vector, in w1..b3 order
         params = make_params(seed=8)
-        vec = params.to_vector()
-        assert np.array_equal(params.with_vector(vec).to_vector(), vec)
-        with pytest.raises(ValueError):
-            params.with_vector(vec[:-1])
+        vec = params.vector.copy()
+        assert np.array_equal(np.concatenate([getattr(params, n).ravel() for n in params.names]), vec)
+        params.vector += 1.0
+        assert np.array_equal(params.w1.ravel(), vec[: params.w1.size] + 1.0)
+        params.b3[:] = 0.0
+        assert np.array_equal(params.vector[-3:], np.zeros(3))
+        with pytest.raises(ValueError, match="vector"):
+            ModelParams(vec[:-1], params.n_features, params.horizon, params.hidden)
+
+    def test_rejects_nonfinite_params(self, tmp_path):
+        # non-finite weights are refused where they enter the program
+        w2 = make_params().w2.copy()
+        w2[0, 0] = np.nan
+        path = tmp_path / "model.npz"
+        self.save(path, w2=w2)
+        with pytest.raises(ValueError, match=r"model\.npz: array w2 contains non-finite"):
+            load_checkpoint(path)
+
+    def test_horizon_mismatch(self, tmp_path):
+        # stored horizon 10 needs w1 of width 34 + 2 * 10, but it holds 34 + 2 * 50
+        path = tmp_path / "model.npz"
+        self.save(path, horizon=np.array(10))
+        with pytest.raises(ValueError, match=r"array w1 has shape \(64, 134\), but .*horizon=10"):
+            load_checkpoint(path)
+
+    def test_rejects_misshaped_w1(self, tmp_path):
+        path = tmp_path / "model.npz"
+        self.save(path, w1=np.zeros((64, 133)))
+        with pytest.raises(ValueError, match=r"model\.npz: array w1 has shape \(64, 133\).*\(64, 134\)"):
+            load_checkpoint(path)
+
+    def test_rejects_misshaped_risk_head(self, tmp_path, rng):
+        path = tmp_path / "model.npz"
+        self.save(path, phi=RiskHeadParams.init(rng, 16), rh_v2=np.zeros((16, 2)))
+        with pytest.raises(ValueError, match=r"model\.npz: array rh_v2 has shape \(16, 2\).*\(2, 16\)"):
+            load_checkpoint(path)

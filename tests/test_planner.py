@@ -94,7 +94,8 @@ class TestPlan:
         cfg = fast_cfg()
         pred = oracle_predictor(circle_world, cfg)
         res = plan(circle_world.start, pred, circle_world.goal, cfg, rng)
-        assert res.controls.within_bounds()
+        v, w = res.controls.commands.T
+        assert (v >= 0).all() and (v <= 1).all() and (np.abs(w) <= 1).all()
 
     def test_deterministic(self, circle_world):
         cfg = fast_cfg(seed=9)

@@ -10,12 +10,20 @@ from hypothesis import strategies as st
 from clearnav.risk import (
     chance_probability_oracle,
     draw_dirac_samples,
-    empirical_mmd,
-    laplacian_kernel,
     mmd_batch,
     mmd_batch_grad,
     residual,
 )
+
+
+def mmd_row(hbar, delta, lam):
+    """mmd_batch on one row of samples."""
+    return mmd_batch(np.asarray(hbar, dtype=float)[None, :], delta, lam)[0]
+
+
+def kernel_from_mmd(z, zp, lam):
+    """K(z, z') read off mmd_batch: for one sample per set the MMD is 2 - 2 K(z, z')."""
+    return 1.0 - mmd_batch(np.array([[z]]), np.array([zp]), lam)[0] / 2.0
 
 
 def brute_force_mmd(hbar, delta, lam):
@@ -50,30 +58,30 @@ class TestResidual:
 class TestLaplacianKernel:
     def test_zero_distance(self):
         for lam in (0.01, 0.5, 3.0):
-            assert laplacian_kernel(1.7, 1.7, lam) == 1.0
+            assert kernel_from_mmd(1.7, 1.7, lam) == 1.0
 
     def test_hand_value(self):
-        assert laplacian_kernel(1.0, 0.0, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-12)
+        assert kernel_from_mmd(1.0, 0.0, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     @given(st.floats(-5, 5), st.floats(-5, 5))
     @settings(max_examples=50, deadline=None)
     def test_symmetry(self, a, b):
-        assert laplacian_kernel(a, b, 0.7) == laplacian_kernel(b, a, 0.7)
+        assert kernel_from_mmd(a, b, 0.7) == kernel_from_mmd(b, a, 0.7)
 
     def test_rejects_nonpositive_width(self):
         with pytest.raises(ValueError):
-            laplacian_kernel(0.0, 1.0, 0.0)
+            kernel_from_mmd(0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
-            laplacian_kernel(0.0, 1.0, -1.0)
+            kernel_from_mmd(0.0, 1.0, -1.0)
 
 
 class TestEmpiricalMMD:
     def test_identical_samples_zero(self, rng):
         x = rng.normal(0, 1, 50)
-        assert empirical_mmd(x, x.copy(), 0.3) == 0.0
+        assert mmd_row(x, x.copy(), 0.3) == 0.0
 
     def test_hand_double_sum(self):
-        got = empirical_mmd([1.0], [0.0], 1.0)
+        got = mmd_row([1.0], [0.0], 1.0)
         assert got == pytest.approx(2.0 - 2.0 * math.exp(-1.0), abs=1e-12)
 
     def test_against_brute_force(self, rng):
@@ -81,36 +89,36 @@ class TestEmpiricalMMD:
             h = np.abs(rng.normal(0, 0.2, 50))
             d = rng.normal(0, 0.003, 50)
             for lam in (0.01, 0.1, 1.0):
-                assert empirical_mmd(h, d, lam) == pytest.approx(
+                assert mmd_row(h, d, lam) == pytest.approx(
                     brute_force_mmd(h, d, lam), abs=1e-9
                 )
 
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
-            empirical_mmd([1.0, 2.0], [0.0], 1.0)
+            mmd_row([1.0, 2.0], [0.0], 1.0)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_nonnegative_and_zero_iff_equal_multisets(self, seed):
         r = np.random.default_rng(seed)
         a = r.normal(0, 1, 20)
-        assert empirical_mmd(a, r.permutation(a), 0.5) <= 1e-12
+        assert mmd_row(a, r.permutation(a), 0.5) <= 1e-12
         b = a.copy()
         b[0] += 1.0
-        assert empirical_mmd(a, b, 0.5) > 0.0
+        assert mmd_row(a, b, 0.5) > 0.0
 
     def test_monotone_in_violation_magnitude(self):
         # fixed draws; shifting all violations away from zero raises the risk
         rng = np.random.default_rng(5)
         base = np.abs(rng.normal(0.05, 0.02, 50))
         delta = rng.normal(0, 0.003, 50)
-        risks = [empirical_mmd(base + shift, delta, 0.1) for shift in (0.0, 0.05, 0.1, 0.2)]
+        risks = [mmd_row(base + shift, delta, 0.1) for shift in (0.0, 0.05, 0.1, 0.2)]
         assert all(r2 > r1 for r1, r2 in zip(risks, risks[1:]))
 
     def test_wide_kernel_limit(self, rng):
         h = np.abs(rng.normal(0.2, 0.1, 50))
         d = rng.normal(0, 0.003, 50)
-        assert empirical_mmd(h, d, 1e3) < 1e-2
+        assert mmd_row(h, d, 1e3) < 1e-2
 
     def test_narrow_kernel_limit(self):
         # at lam -> 0 only exact duplicates contribute; limit follows from
@@ -122,15 +130,18 @@ class TestEmpiricalMMD:
         c_inf = 5 * (1 / n) ** 2
         b_inf = (3 * 1) / n**2  # the three h-zeros match the single d-zero
         expected = a_inf - 2 * b_inf + c_inf
-        assert empirical_mmd(h, d, 1e-6) == pytest.approx(expected, abs=1e-9)
+        assert mmd_row(h, d, 1e-6) == pytest.approx(expected, abs=1e-9)
 
     def test_batch_matches_scalar(self, rng):
+        # rows of a batch do not mix, and the gradient path reports the same values
         h = np.abs(rng.normal(0, 0.2, (7, 30)))
         d = rng.normal(0, 0.003, 30)
         lam = rng.uniform(0.05, 0.5, 7)
         batch = mmd_batch(h, d, lam)
+        r, _, _ = mmd_batch_grad(h, d, lam)
         for i in range(7):
-            assert batch[i] == pytest.approx(empirical_mmd(h[i], d, lam[i]), abs=1e-12)
+            assert batch[i] == pytest.approx(mmd_row(h[i], d, lam[i]), abs=1e-12)
+            assert r[i] == pytest.approx(batch[i], abs=1e-12)
 
     def test_grad_matches_finite_differences(self, rng):
         h = np.abs(rng.normal(0.1, 0.05, (3, 20))) + 0.01
@@ -202,7 +213,7 @@ def test_risk_probability_rank_alignment():
     for sigma in (0.01, 0.05, 0.1):
         for mu in np.linspace(0.0, 2 * d_o, 21):
             hbar = residual(mu + sigma * eps, d_o)
-            risks.append(empirical_mmd(hbar, dirac, 0.01))
+            risks.append(mmd_row(hbar, dirac, 0.01))
             probs.append(
                 chance_probability_oracle(mu, sigma, d_o, 100_000, np.random.default_rng(int(mu * 1e6) + int(sigma * 1e4)))
             )

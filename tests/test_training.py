@@ -5,29 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from clearnav.data import ClearanceDataset, generate_dataset, label_for
+import clearnav.data
+from clearnav.data import ClearanceDataset, generate_dataset
 from clearnav.dynamics import ControlSequence, RobotState, rollout
-from clearnav.model import (
-    ClearancePrediction,
-    ModelParams,
-    PolarFeaturizer,
-    RiskHeadParams,
-    forward_batch,
-)
-from clearnav.risk import draw_dirac_samples, empirical_mmd, residual
+from clearnav.model import ModelParams, RiskHeadParams, forward_batch
+from clearnav.planner import PlannerConfig, PlanningError, plan
+from clearnav.risk import draw_dirac_samples, mmd_batch, residual
 from clearnav.training import (
     BatchNoise,
     TrainConfig,
     TrainingDiverged,
-    batch_loss,
+    _forward,
     build_inputs,
-    ce_loss,
-    clearance_from_eps,
+    evaluate,
     finite_difference_check,
     loss_and_grad,
-    nll_loss,
-    reparameterize,
-    risk_head,
     risk_head_forward,
     train,
 )
@@ -50,6 +42,24 @@ def small_dataset(seed=0, n_worlds=3, snaps=4, seqs=25):
     )
 
 
+def constant_params(mu, sigma, lam):
+    """A zero-weight network on 4 inputs whose (mu, sigma, lam) are the same for every input."""
+    params = ModelParams.init(np.random.default_rng(0), 2, 1, 8).zeros_like()
+    params.b3[:] = [mu, math.log(math.expm1(sigma)), math.log(math.expm1(lam - 1e-3))]
+    return params
+
+
+def zero_risk_head():
+    return RiskHeadParams.init(np.random.default_rng(0), 16).zeros_like()
+
+
+class ZeroNormalRng:
+    """Stands in for the evaluation rng: every reparameterization draw is 0."""
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
 class TestGenerateDataset:
     def test_straight_to_wall_against_double_loop(self):
         # single wall 2 m ahead; label must equal exhaustive (k, point) search
@@ -59,16 +69,16 @@ class TestGenerateDataset:
         from clearnav.world import body_to_world, raycast_scan
 
         for i in range(0, len(ds), 17):
-            s = ds[i]
-            cloud_world = body_to_world(raycast_scan(s.state, world, sensor), s.state)
+            state = RobotState(*ds.states[ds.snapshot[i]])
+            cloud_world = body_to_world(raycast_scan(state, world, sensor), state)
             if cloud_world.shape[0] == 0:
-                assert s.clearance == sensor.max_range  # nothing visible -> capped
+                assert ds.clearance[i] == sensor.max_range  # nothing visible -> capped
                 continue
-            traj = rollout(s.state, s.controls)
+            traj = rollout(state, ControlSequence(ds.controls[i], ds.dt))
             brute = min(
                 math.hypot(px - cx, py - cy) for px, py in traj.xy for cx, cy in cloud_world
             )
-            assert s.clearance == pytest.approx(brute, abs=1e-9)
+            assert ds.clearance[i] == pytest.approx(brute, abs=1e-9)
 
     def test_zero_velocity_distance_to_nearest(self):
         world = World((Circle(2.0, 0.0, 0.5),), (-5, -5, 10, 5), RobotState(0, 0, 0), (5, 0))
@@ -82,24 +92,31 @@ class TestGenerateDataset:
         nearest = np.hypot(*(cloud_world - state.position).T).min()
         assert d[0] == pytest.approx(nearest)
 
-    def test_label_rule(self):
-        assert np.array_equal(label_for(0.5, 0.3), [0.0, 1.0])
-        assert np.array_equal(label_for(0.2, 0.3), [1.0, 0.0])
-        assert np.array_equal(label_for(0.3, 0.3), [0.0, 1.0])  # boundary is safe
+    def test_label_rule(self, monkeypatch):
+        # safe (class 1) when -clearance + d_o <= 0; the boundary is safe
+        def fixed_clearance(state, commands, cloud, dt, cap):
+            return np.array([0.5, 0.2, 0.3])
+
+        monkeypatch.setattr(clearnav.data, "worst_case_clearance", fixed_clearance)
+        world = World((), (-5, -5, 5, 5), RobotState(0, 0, 0), (1, 1))
+        ds = generate_dataset(
+            [world], 1, np.random.default_rng(0), SensorConfig(), d_o=0.3,
+            sequences_per_snapshot=3, seed=0,
+        )
+        assert np.array_equal(ds.safe, [1, 0, 1])
 
     def test_every_sample_satisfies_label_invariant(self):
         ds = small_dataset()
-        for i in range(len(ds)):
-            s = ds[i]
-            expected = label_for(s.clearance, ds.d_o)
-            assert np.array_equal(s.label, expected)
+        assert ds.safe.dtype == np.uint8
+        assert np.array_equal(ds.safe, (-ds.clearance + ds.d_o <= 0.0).astype(np.uint8))
 
     def test_sharing_and_shapes(self):
         ds = small_dataset()
         assert ds.clouds.shape[1:] == (300, 2)
         assert len(ds) == ds.snapshot.shape[0] == ds.controls.shape[0]
-        first, last = ds[0], ds[24]
-        assert np.shares_memory(first.cloud, last.cloud)  # same snapshot, one buffer
+        # one cloud per snapshot, not per sample: samples 0 and 24 share one
+        assert ds.clouds.shape[0] == ds.n_snapshots == len(ds) // 25
+        assert ds.snapshot[0] == ds.snapshot[24]
 
     def test_round_trip(self, tmp_path):
         ds = small_dataset()
@@ -125,59 +142,98 @@ class TestGenerateDataset:
 
 
 class TestReparameterize:
+    """The sampling path mu + sigma * eps -> violations max(0, d_o - d) shared by training and evaluation."""
+
     def test_zero_noise_returns_mu(self):
-        pred = ClearancePrediction(0.7, 0.2, 0.1)
-        assert np.allclose(clearance_from_eps(pred, np.zeros(10)), 0.7)
+        # every sample is mu, so each row's risk is the MMD of a point mass at
+        # max(0, d_o - mu) against the exact Dirac: 2 - 2 exp(-hbar / lam)
+        cfg = TrainConfig(risk_samples=10, d_o=0.3, dirac_variance=0.0)
+        phi = RiskHeadParams.init(np.random.default_rng(0), 16)
+        for mu, hbar in ((0.7, 0.0), (0.1, 0.2)):
+            params = constant_params(mu, 0.2, 0.1)
+            ev = evaluate(params, phi, np.zeros((3, 4)), np.zeros(3), np.ones(3), cfg, ZeroNormalRng())
+            assert np.allclose(ev["risk"], 2.0 - 2.0 * math.exp(-hbar / 0.1), rtol=0, atol=1e-12)
 
     def test_moment_check(self):
-        pred = ClearancePrediction(0.5, 0.3, 0.1)
-        samples, _ = reparameterize(pred, np.random.default_rng(0), 100_000)
+        # d_o far above every sample keeps the clamp inactive, so mean(d_o - hbar) is the sample mean
+        cfg = TrainConfig(risk_samples=50, d_o=100.0)
+        params = constant_params(0.5, 0.3, 0.1)
+        noise = BatchNoise.draw(np.random.default_rng(0), 2000, cfg)
+        x, d_gt, safe = np.zeros((2000, 4)), np.zeros(2000), np.ones(2000)
+        f = _forward(params, zero_risk_head(), x, d_gt, safe, noise, cfg, risk=True)
+        samples = cfg.d_o - f.hbar
+        assert samples.size == 100_000
         assert samples.mean() == pytest.approx(0.5, abs=0.01 * 0.3)
 
     def test_linear_gradients(self):
         # d sample / d mu = 1, d sample / d sigma = eps
-        eps = np.array([-1.3, 0.2, 2.0])
-        base = clearance_from_eps(ClearancePrediction(0.5, 0.3, 0.1), eps)
-        dmu = (clearance_from_eps(ClearancePrediction(0.5 + 1e-6, 0.3, 0.1), eps) - base) / 1e-6
-        dsig = (clearance_from_eps(ClearancePrediction(0.5, 0.3 + 1e-6, 0.1), eps) - base) / 1e-6
-        assert np.allclose(dmu, 1.0)
-        assert np.allclose(dsig, eps, atol=1e-6)
+        cfg = TrainConfig(risk_samples=3, d_o=100.0)
+        phi = zero_risk_head()
+        noise = BatchNoise(eps=np.array([[-1.3, 0.2, 2.0]]), dirac=np.zeros((1, 3)))
 
-    def test_requires_positive_sigma(self):
-        with pytest.raises(ValueError):
-            reparameterize(ClearancePrediction(0.5, 0.0, 0.1), np.random.default_rng(0), 5)
+        def samples(mu, sigma):
+            f = _forward(constant_params(mu, sigma, 0.1), phi, np.zeros((1, 4)), np.zeros(1),
+                         np.ones(1), noise, cfg, risk=True)
+            return cfg.d_o - f.hbar[0]
+
+        base = samples(0.5, 0.3)
+        dmu = (samples(0.5 + 1e-6, 0.3) - base) / 1e-6
+        dsig = (samples(0.5, 0.3 + 1e-6) - base) / 1e-6
+        assert np.allclose(dmu, 1.0)
+        assert np.allclose(dsig, noise.eps[0], atol=1e-6)
+
+    def test_requires_positive_sigma(self, empty_world):
+        # the planner draws mu + sigma * eps only for candidates with sigma > 0
+        cfg = PlannerConfig(iterations=2, samples=32, risk_elites=8, elites=4, risk_draws=10)
+
+        def predictor(sigma_of):
+            def predict(u):
+                n = u.shape[0]
+                return np.ones(n), sigma_of(n), np.full(n, 0.1)
+
+            return predict
+
+        with pytest.raises(PlanningError):
+            plan(empty_world.start, predictor(np.zeros), empty_world.goal, cfg, np.random.default_rng(0))
+        half = predictor(lambda n: np.where(np.arange(n) % 2, 0.05, -1.0))
+        res = plan(empty_world.start, half, empty_world.goal, cfg, np.random.default_rng(0))
+        assert res.sigma == 0.05
 
 
 class TestRiskHead:
     def test_zero_violation_path(self, rng):
         phi = RiskHeadParams.init(rng, 16)
         cfg = TrainConfig()
-        pred = ClearancePrediction(mu=3.0, sigma=1e-6, lam=0.1)
-        yhat = risk_head(pred, phi, np.random.default_rng(0), cfg)
+        params = constant_params(3.0, 1e-6, 0.1)
+        ev = evaluate(params, phi, np.zeros((1, 4)), np.zeros(1), np.ones(1), cfg, np.random.default_rng(0))
         ref, _ = risk_head_forward(np.zeros(1), phi)
         # all violations are zero; only the near-Dirac reference width keeps
         # the risk (and hence the output gap) slightly above zero
-        assert np.abs(yhat - ref[0]).max() < 0.05
+        assert np.abs(ev["yhat"][0] - ref[0]).max() < 0.05
 
     def test_softmax_simplex(self, rng):
         phi = RiskHeadParams.init(rng, 16)
         cfg = TrainConfig()
         for mu in (0.0, 0.3, 1.0):
-            yhat = risk_head(ClearancePrediction(mu, 0.1, 0.05), phi, np.random.default_rng(1), cfg)
-            assert yhat.sum() == pytest.approx(1.0)
+            params = constant_params(mu, 0.1, 0.05)
+            yhat = evaluate(params, phi, np.zeros((4, 4)), np.zeros(4), np.ones(4), cfg,
+                            np.random.default_rng(1))["yhat"]
+            assert yhat.sum(axis=1) == pytest.approx(np.ones(4))
             assert (yhat > 0).all() and (yhat < 1).all()
 
     def test_composition_against_chained_modules(self, rng):
         # oracle: replay the same rng stream through the public module pieces
         phi = RiskHeadParams.init(rng, 16)
         cfg = TrainConfig(risk_samples=50, d_o=0.3)
-        pred = ClearancePrediction(0.35, 0.2, 0.08)
-        got = risk_head(pred, phi, np.random.default_rng(7), cfg)
+        params = constant_params(0.35, 0.2, 0.08)
+        mu, sigma, lam = forward_batch(params, np.zeros((1, 4)))
+        got = evaluate(params, phi, np.zeros((1, 4)), np.zeros(1), np.ones(1), cfg,
+                       np.random.default_rng(7))["yhat"][0]
         r2 = np.random.default_rng(7)
-        samples, _ = reparameterize(pred, r2, 50)
-        hbar = residual(samples, 0.3)
+        eps = r2.standard_normal(50)
+        hbar = residual(mu[0] + sigma[0] * eps, 0.3)
         dirac = draw_dirac_samples(r2, 50, cfg.dirac_variance)
-        r = empirical_mmd(hbar, dirac, pred.lam)
+        r = mmd_batch(hbar[None, :], dirac, lam)[0]
         pre1 = np.tanh(r * phi.v1 + phi.c1)
         z = phi.v2 @ pre1 + phi.c2
         e = np.exp(z - z.max())
@@ -186,34 +242,58 @@ class TestRiskHead:
 
 
 class TestLosses:
+    """Batch-mean NLL and cross entropy as loss_and_grad reports them."""
+
+    def terms(self, params, d_gt, safe, phi=None, mode="baseline"):
+        cfg = TrainConfig(risk_samples=10)
+        phi = phi or zero_risk_head()
+        noise = BatchNoise.draw(np.random.default_rng(0), len(d_gt), cfg)
+        x = np.zeros((len(d_gt), 4))
+        return loss_and_grad(params, phi, x, np.asarray(d_gt), np.asarray(safe), noise, mode, cfg)
+
     def test_nll_hand_value(self):
-        loss = nll_loss(ClearancePrediction(0.4, 1.0, 0.1), 0.4)
-        assert loss == pytest.approx(0.5 * math.log(2 * math.pi), abs=1e-12)
+        terms, _, _ = self.terms(constant_params(0.4, 1.0, 0.1), [0.4], [1])
+        assert terms.nll == pytest.approx(0.5 * math.log(2 * math.pi), abs=1e-12)
 
     def test_nll_collapse_limit(self):
         # with mu fitted exactly, shrinking sigma sends the loss to -inf
-        losses = [nll_loss(ClearancePrediction(0.4, s, 0.1), 0.4) for s in (1e-2, 1e-4, 1e-8)]
+        losses = [self.terms(constant_params(0.4, s, 0.1), [0.4], [1])[0].nll for s in (1e-2, 1e-4, 1e-8)]
         assert losses[0] > losses[1] > losses[2]
         assert losses[2] < -10
 
     def test_nll_gradient_wrt_mu(self):
+        # b3[0] is mu itself in a zero-weight network, so its gradient is dNLL/dmu
         d, sigma = 0.7, 0.23
         for mu in (0.1, 0.69, 1.4):
-            f = lambda m: nll_loss(ClearancePrediction(m, sigma, 0.1), d)
+            params = constant_params(mu, sigma, 0.1)
+            _, grad, _ = self.terms(params, [d], [1])
+
+            def f(m):
+                params.b3[0] = m
+                return self.terms(params, [d], [1])[0].nll
+
             num = (f(mu + 1e-7) - f(mu - 1e-7)) / 2e-7
             assert num == pytest.approx((mu - d) / sigma**2, rel=1e-5)
+            assert grad.b3[0] == pytest.approx((mu - d) / sigma**2, rel=1e-5)
 
     def test_ce_hand_value(self):
-        assert ce_loss([0.5, 0.5], [0.0, 1.0]) == pytest.approx(math.log(2.0), abs=1e-12)
+        # a zero risk head gives [0.5, 0.5] whatever the risk
+        terms, _, _ = self.terms(constant_params(0.4, 0.1, 0.1), [0.4], [1], mode="augmented")
+        assert terms.ce == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_ce_perfect_prediction_limit(self):
-        assert ce_loss([1e-12, 1.0 - 1e-12], [0.0, 1.0]) == pytest.approx(0.0, abs=1e-11)
+        phi = zero_risk_head()
+        phi.c2[:] = [0.0, math.log((1.0 - 1e-12) / 1e-12)]  # p(safe) = 1 - 1e-12
+        terms, _, _ = self.terms(constant_params(0.4, 0.1, 0.1), [0.4], [1], phi, mode="augmented")
+        assert terms.ce == pytest.approx(0.0, abs=1e-11)
 
     def test_ce_nonnegative(self, rng):
         for _ in range(20):
-            p = rng.dirichlet([1, 1])
-            y = np.eye(2)[rng.integers(2)]
-            assert ce_loss(p, y) >= 0.0
+            phi = RiskHeadParams.init(rng, 16)
+            safe = rng.integers(0, 2, 5)
+            params = constant_params(rng.uniform(0, 0.6), 0.1, 0.1)
+            terms, _, _ = self.terms(params, rng.uniform(0, 1, 5), safe, phi, mode="augmented")
+            assert terms.ce >= 0.0
 
 
 class TestTrain:
@@ -260,7 +340,7 @@ class TestTrain:
         _, grad, grad_phi = loss_and_grad(
             params, phi, x_all[idx], ds.clearance[idx], ds.safe[idx], noise, "baseline", cfg
         )
-        assert np.all(grad_phi.to_vector() == 0.0)
+        assert np.all(grad_phi.vector == 0.0)
         assert np.all(grad.w3[2] == 0.0) and grad.b3[2] == 0.0  # kernel-width head untouched
 
     def test_loss_finite_at_init(self, rng):
@@ -270,7 +350,7 @@ class TestTrain:
         params = ModelParams.init(np.random.default_rng([0, 29]), 34, ds.horizon, cfg.hidden)
         phi = RiskHeadParams.init(np.random.default_rng(1), cfg.risk_hidden)
         noise = BatchNoise.draw(np.random.default_rng(5), len(ds), cfg)
-        terms = batch_loss(params, phi, x_all, ds.clearance, ds.safe, noise, "augmented", cfg)
+        terms, _, _ = loss_and_grad(params, phi, x_all, ds.clearance, ds.safe, noise, "augmented", cfg)
         assert math.isfinite(terms.total)
 
     def test_train_deterministic(self):
@@ -278,8 +358,8 @@ class TestTrain:
         cfg = TrainConfig(epochs=2, seed=11)
         a = train(ds, cfg, "augmented")
         b = train(ds, cfg, "augmented")
-        assert np.array_equal(a.params.to_vector(), b.params.to_vector())
-        assert np.array_equal(a.risk_head.to_vector(), b.risk_head.to_vector())
+        assert np.array_equal(a.params.vector, b.params.vector)
+        assert np.array_equal(a.risk_head.vector, b.risk_head.vector)
         assert a.log.rows[-1] == b.log.rows[-1]
 
     def test_divergence_aborts(self):
