@@ -24,7 +24,7 @@ from .dynamics import (
     rollout_batch,
     step,
 )
-from .risk import draw_dirac_samples, mmd_batch
+from .risk import draw_dirac_samples, mmd_batch, residual
 from .world import BiasField, SensorConfig, World, estimated_scan, standardize_cloud
 
 # predictor: flat command batch (n, 2H) -> (mu, sigma, lam), each (n,)
@@ -160,8 +160,7 @@ def plan(
 
         eps = rng.standard_normal((u.shape[0], cfg.risk_draws))
         d_samp = mu[:, None] + sigma[:, None] * eps
-        hbar = np.maximum(0.0, cfg.d_o - d_samp)
-        risk = mmd_batch(hbar, dirac, lam)
+        risk = mmd_batch(residual(d_samp, cfg.d_o), dirac, lam)
 
         poses = rollout_batch(state, u.reshape(-1, cfg.horizon, 2), cfg.dt)
         diff = poses[:, :, :2] - goal

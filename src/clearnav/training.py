@@ -29,7 +29,7 @@ import numpy as np
 from .data import ClearanceDataset
 from .dynamics import RobotState
 from .model import ModelParams, PolarFeaturizer, RiskHeadParams, forward_batch, sigmoid
-from .risk import draw_dirac_samples, mmd_batch_grad
+from .risk import draw_dirac_samples, mmd_batch_grad, residual
 
 MODES = ("baseline", "augmented", "nll_sigma_penalty")
 
@@ -144,8 +144,9 @@ def _forward(
     nll = 0.5 * np.log(2.0 * math.pi * var) + err**2 / (2.0 * var)
     out = _Pass(mu, sigma, cache, err, var, nll)
     if risk:
-        d_samp = mu[:, None] + sigma[:, None] * noise.eps
-        out.hbar = np.maximum(0.0, cfg.d_o - d_samp)
+        if not np.isfinite(lam).all():
+            raise TrainingDiverged("the network predicts a non-finite kernel width")
+        out.hbar = residual(mu[:, None] + sigma[:, None] * noise.eps, cfg.d_o)
         out.r, out.dr_dh, out.dr_dlam = mmd_batch_grad(out.hbar, noise.dirac, lam)
         out.yhat, (out.a1, _) = risk_head_forward(out.r, phi)
         out.cls = safe.astype(int)

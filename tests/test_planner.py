@@ -129,6 +129,12 @@ class TestPlan:
         res = plan(empty_world.start, flaky, empty_world.goal, cfg, np.random.default_rng(0))
         assert np.isfinite(res.cost)
 
+    def test_nonpositive_radius_rejected(self, empty_world):
+        cfg = fast_cfg(d_o=0.0)
+        pred = oracle_predictor(empty_world, cfg)
+        with pytest.raises(ValueError, match="radius"):
+            plan(empty_world.start, pred, empty_world.goal, cfg, np.random.default_rng(0))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PlannerConfig(samples=10, risk_elites=20, elites=5)

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clearnav.risk import (
@@ -33,6 +34,58 @@ def brute_force_mmd(hbar, delta, lam):
     b = sum(math.exp(-abs(hbar[i] - delta[j]) / lam) for i in range(n) for j in range(n))
     c = sum(math.exp(-abs(delta[i] - delta[j]) / lam) for i in range(n) for j in range(n))
     return max((a - 2.0 * b + c) / n**2, 0.0)
+
+
+def dense_mmd_grad(hbar, delta, lam):
+    """Reference for mmd_batch_grad: the three (B, N, N) kernel blocks, summed densely."""
+    hbar = np.asarray(hbar, dtype=float)
+    delta = np.broadcast_to(np.asarray(delta, dtype=float), hbar.shape)
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    n2 = float(hbar.shape[1] ** 2)
+    inv_lam = 1.0 / lam[:, None, None]
+
+    def block(a1, a2):
+        # (K sums over both axes, |d|*K sums, per-row sign(d)*K sums)
+        d = a1[:, :, None] - a2[:, None, :]
+        s = np.sign(d)
+        np.abs(d, out=d)
+        k = np.exp(d * -inv_lam)
+        return np.einsum("bij->b", k), np.einsum("bij,bij->b", d, k), np.einsum("bij,bij->bi", s, k)
+
+    k_hh, dk_hh, s_hh = block(hbar, hbar)
+    k_hd, dk_hd, s_hd = block(hbar, delta)
+    k_dd, dk_dd, _ = block(delta, delta)
+    r_raw = (k_hh - 2.0 * k_hd + k_dd) / n2
+    dr_dh = (-2.0 / n2) * (s_hh - s_hd) / lam[:, None]
+    dr_dlam = (dk_hh - 2.0 * dk_hd + dk_dd) / (n2 * lam**2)
+    clamped = r_raw <= 0.0
+    return (
+        np.where(clamped, 0.0, r_raw),
+        np.where(clamped[:, None], 0.0, dr_dh),
+        np.where(clamped, 0.0, dr_dlam),
+    )
+
+
+@st.composite
+def mmd_inputs(draw):
+    """Violation rows at least half exactly 0, with repeated nonzero values, reference
+    draws that may copy violation entries, a shared or per-row reference and a
+    scalar or per-row width from 1e-6 to 1e3."""
+    b, n = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    pool = draw(st.lists(st.floats(1e-4, 0.5), min_size=1, max_size=3))
+    value = st.one_of(st.sampled_from(pool), st.floats(0.0, 0.5))
+    hbar = np.array(draw(st.lists(value, min_size=b * n, max_size=b * n))).reshape(b, n)
+    for row in hbar:
+        row[draw(st.permutations(range(n)))[: (n + 1) // 2]] = 0.0
+    source = hbar[0] if draw(st.booleans()) else hbar  # shared (N,) or per-row delta
+    size = source.size
+    delta = np.array(draw(st.lists(st.floats(-0.01, 0.01), min_size=size, max_size=size)))
+    copy = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    delta, copy = delta.reshape(source.shape), copy.reshape(source.shape)
+    delta[copy] = source[copy]
+    exponents = draw(st.lists(st.floats(-6, 3), min_size=b, max_size=b))
+    lam = 10.0 ** exponents[0] if draw(st.booleans()) else 10.0 ** np.array(exponents)
+    return hbar, delta, lam
 
 
 class TestResidual:
@@ -161,6 +214,71 @@ class TestEmpiricalMMD:
             lm[b] -= eps
             num = (mmd_batch(h, d, lp)[b] - mmd_batch(h, d, lm)[b]) / (2 * eps)
             assert dr_dlam[b] == pytest.approx(num, rel=1e-5, abs=1e-8)
+
+
+class TestMmdBatchGrad:
+    @given(mmd_inputs())
+    @example((np.zeros((1, 1)), np.zeros(1), 1e-6))
+    @example((np.array([[0.0, 0.2]]), np.array([0.0, 0.2]), np.array([1e3])))
+    @example((np.array([[0.0, 1.36e-13, 0.0]]), np.zeros(3), 1e3))
+    @example((np.array([[0.0, 1e-6, 0.0, 0.5, 0.0]]), np.array([0.0, 0.0, 0.0, 2**-7, 2**-7]), 1e-6))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_blocks(self, inputs):
+        hbar, delta, lam = inputs
+        r, dr_dh, dr_dlam = mmd_batch_grad(hbar, delta, lam)
+        want_r, want_dh, want_dlam = dense_mmd_grad(hbar, delta, lam)
+        assert r == pytest.approx(want_r, rel=0, abs=1e-12)
+        # rows clamped to r = 0 report zero gradients; rounding decides the clamp
+        # only for rows whose r is below the value tolerance
+        same = (r > 0.0) == (want_r > 0.0)
+        assert np.all(same | (np.maximum(r, want_r) < 1e-12))
+        # gradients in units of 1/lam (lam dr/dlam = dr/dlog lam): the dense sums
+        # cancel terms of size 1/lam, so at lam = 1e-6 their own rounding is ~1e-11
+        scale = np.broadcast_to(lam, r.shape)[same]
+        assert (scale[:, None] * dr_dh[same]) == pytest.approx(
+            scale[:, None] * want_dh[same], rel=1e-9, abs=1e-12)
+        assert scale * dr_dlam[same] == pytest.approx(scale * want_dlam[same], rel=1e-9, abs=1e-12)
+
+    def test_rejects_non_2d_hbar(self):
+        with pytest.raises(ValueError, match="hbar"):
+            mmd_batch_grad(np.zeros(5), np.zeros(5), 0.1)
+
+    def test_rejects_misshaped_delta(self):
+        with pytest.raises(ValueError, match="delta"):
+            mmd_batch_grad(np.zeros((3, 5)), np.zeros((2, 5)), 0.1)
+
+    def test_rejects_misshaped_lam(self):
+        with pytest.raises(ValueError, match="lam"):
+            mmd_batch_grad(np.zeros((3, 5)), np.zeros(5), np.full(2, 0.1))
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, np.nan, np.inf])
+    def test_rejects_nonpositive_or_nonfinite_lam(self, bad):
+        with pytest.raises(ValueError, match="lam"):
+            mmd_batch_grad(np.zeros((3, 5)), np.zeros(5), np.array([0.1, bad, 0.1]))
+
+    def test_nonfinite_samples_poison_their_row_only(self, rng):
+        hbar = np.abs(rng.normal(0, 0.1, (4, 6)))
+        delta = rng.normal(0, 0.003, (4, 6))
+        hbar[0, 2] = np.nan
+        hbar[1, 0] = np.inf
+        delta[2, 5] = -np.inf
+        r, dr_dh, dr_dlam = mmd_batch_grad(hbar, delta, 0.1)
+        assert np.isnan(r[:3]).all() and np.isnan(dr_dh[:3]).all() and np.isnan(dr_dlam[:3]).all()
+        alone = np.hstack([out[0].ravel() for out in mmd_batch_grad(hbar[3:], delta[3:], 0.1)])
+        assert np.hstack([r[3], dr_dh[3], dr_dlam[3]]) == pytest.approx(alone, rel=1e-12, abs=1e-15)
+
+    def test_memory_linear_in_samples(self):
+        # one dense (B, N, N) kernel block of this call would take 64 MB
+        rng = np.random.default_rng(0)
+        hbar = np.maximum(0.0, rng.normal(0.0, 0.1, (2, 2000)))
+        delta = rng.normal(0.0, 0.003, 2000)
+        tracemalloc.start()
+        try:
+            mmd_batch_grad(hbar, delta, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestDiracSamples:

@@ -368,6 +368,15 @@ class TestTrain:
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
             train(ds, cfg, "baseline")
 
+    def test_nonfinite_width_is_divergence(self):
+        params = constant_params(0.35, 0.2, 0.08)
+        params.b3[2] = np.inf
+        cfg = TrainConfig(risk_samples=10)
+        noise = BatchNoise.draw(np.random.default_rng(0), 3, cfg)
+        with pytest.raises(TrainingDiverged, match="kernel width"):
+            loss_and_grad(params, zero_risk_head(), np.zeros((3, 4)), np.full(3, 0.5),
+                          np.ones(3, dtype=bool), noise, "augmented", cfg)
+
     def test_unknown_mode_rejected(self):
         ds = small_dataset()
         with pytest.raises(ValueError, match="mode"):
