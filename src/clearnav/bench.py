@@ -105,7 +105,8 @@ TRACE_FIELDS = ("t", "x", "y", "psi", "v", "omega", "mu", "sigma", "lam", "risk"
 
 @dataclass(eq=False)
 class BenchmarkReport:
-    methods: dict  # method -> {"collision_pct", "stuck_pct", "avg_speed", "max_speed"}
+    # method -> {"collision_pct", "stuck_pct", "timeout_pct", "reached_pct", "avg_speed", "max_speed"}
+    methods: dict
     outcomes: dict  # method -> list of per-episode summaries
     episodes: int
     seed: int
@@ -128,11 +129,12 @@ class BenchmarkReport:
             f.write(self.to_json())
 
     def format_table(self) -> str:
-        header = f"{'method':<14}{'% collisions':>14}{'% stuck':>10}{'avg speed':>12}{'max speed':>12}"
+        header = (f"{'method':<14}{'% collisions':>14}{'% stuck':>10}{'% timeout':>12}"
+                  f"{'avg speed':>12}{'max speed':>12}")
         lines = [header, "-" * len(header)]
         for name, m in self.methods.items():
             lines.append(
-                f"{name:<14}{m['collision_pct']:>14.1f}{m['stuck_pct']:>10.1f}"
+                f"{name:<14}{m['collision_pct']:>14.1f}{m['stuck_pct']:>10.1f}{m['timeout_pct']:>12.1f}"
                 f"{m['avg_speed']:>12.3f}{m['max_speed']:>12.3f}"
             )
         return "\n".join(lines)
@@ -435,12 +437,20 @@ def suite_worlds(n: int, seed: int, suite: SuiteConfig | None = None) -> list[Wo
 # ---------------------------------------------------------------------------
 # Benchmark
 
+_worker_models: dict[str, LearnedModel] = {}  # this worker process's models, set by its pool
+
+
+def _load_worker_models(model_paths: dict[str, str] | None) -> None:
+    """Pool initializer: load each checkpoint once for the life of the worker process."""
+    global _worker_models
+    _worker_models = {k: model_from_checkpoint(p) for k, p in (model_paths or {}).items()}
+
+
 def _episode_job(args):
-    world_dict, method, seed, sensor_dict, planner_cfg, episode_cfg, model_paths = args
+    world_dict, method, seed, sensor_dict, planner_cfg, episode_cfg = args
     sensor = sensor_from_dict(sensor_dict)
     world = world_from_dict(world_dict)
-    models = {k: model_from_checkpoint(p) for k, p in (model_paths or {}).items()}
-    out = run_episode(world, method, seed, sensor, planner_cfg, episode_cfg, models)
+    out = run_episode(world, method, seed, sensor, planner_cfg, episode_cfg, _worker_models)
     return _summarize(out)
 
 
@@ -476,8 +486,8 @@ def run_benchmark(
 
     Episode e of every method shares world e and the episode seed [seed, e],
     so methods face identical scenarios. Results are deterministic for a given
-    (seed, config) regardless of worker count. Worker processes load learned
-    models from `model_paths`, so workers > 1 with a learned method needs it.
+    (seed, config) regardless of worker count. Each worker process loads the
+    checkpoints in `model_paths` once, so workers > 1 with a learned method needs it.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
@@ -502,10 +512,11 @@ def run_benchmark(
             jobs.append((method, e, world))
     if workers > 1:
         arglist = [
-            (world_to_dict(w), m, _episode_seed(seed, e), sensor_to_dict(sensor), planner_cfg, ep, model_paths)
+            (world_to_dict(w), m, _episode_seed(seed, e), sensor_to_dict(sensor), planner_cfg, ep)
             for (m, e, w) in jobs
         ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_load_worker_models,
+                                 initargs=(model_paths,)) as pool:
             results = list(pool.map(_episode_job, arglist))
     else:
         results = [
@@ -524,7 +535,8 @@ def run_benchmark(
         speeds = [o["avg_speed"] for o in outs]
         stats[method] = {
             "collision_pct": 100.0 * sum(o["result"] == "collided" for o in outs) / n,
-            "stuck_pct": 100.0 * sum(o["result"] in ("stuck", "timeout") for o in outs) / n,
+            "stuck_pct": 100.0 * sum(o["result"] == "stuck" for o in outs) / n,
+            "timeout_pct": 100.0 * sum(o["result"] == "timeout" for o in outs) / n,
             "reached_pct": 100.0 * sum(o["result"] == "reached" for o in outs) / n,
             "avg_speed": float(np.mean(speeds)),
             "max_speed": float(max(o["max_speed"] for o in outs)),

@@ -131,8 +131,10 @@ def plan(
 ) -> PlanResult:
     """Run the full sampling loop and return the best-ever candidate.
 
-    Candidates with non-finite predictions are skipped; if an entire batch is
-    invalid the call raises PlanningError.
+    Every candidate is scored for risk; only the risk elites are rolled out and
+    costed, since the cost ranking reads nothing else. Candidates with non-finite
+    predictions are skipped; if an entire batch is invalid the call raises
+    PlanningError.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -162,29 +164,27 @@ def plan(
         d_samp = mu[:, None] + sigma[:, None] * eps
         risk = mmd_batch(residual(d_samp, cfg.d_o), dirac, lam)
 
-        poses = rollout_batch(state, u.reshape(-1, cfg.horizon, 2), cfg.dt)
-        diff = poses[:, :, :2] - goal
-        s_cost = (diff * diff).sum(axis=(1, 2))
-        effort = (u * u).sum(axis=1)
-
+        # s_cost and effort are indexed by position in risk_order, the rest by candidate
         n_c = min(cfg.risk_elites, u.shape[0])
         risk_order = np.argsort(risk, kind="stable")[:n_c]
-        cost = (
-            cfg.w_state * s_cost[risk_order]
-            + cfg.w_risk * risk[risk_order]
-            + cfg.w_effort * effort[risk_order]
-        )
+        u_c = u[risk_order]
+        poses = rollout_batch(state, u_c.reshape(-1, cfg.horizon, 2), cfg.dt)
+        diff = poses[:, :, :2] - goal
+        s_cost = (diff * diff).sum(axis=(1, 2))
+        effort = (u_c * u_c).sum(axis=1)
+        cost = cfg.w_state * s_cost + cfg.w_risk * risk[risk_order] + cfg.w_effort * effort
         n_e = min(cfg.elites, n_c)
         cost_order = np.argsort(cost, kind="stable")[:n_e]
         elite_idx = risk_order[cost_order]
 
+        top_c = cost_order[0]
         top = elite_idx[0]
-        top_cost = float(cost[cost_order[0]])
+        top_cost = float(cost[top_c])
         if best is None or top_cost < best[0]:
             best = (
                 top_cost,
                 u[top].copy(),
-                (float(s_cost[top]), float(risk[top]), float(effort[top])),
+                (float(s_cost[top_c]), float(risk[top]), float(effort[top_c])),
                 (float(mu[top]), float(sigma[top]), float(lam[top])),
             )
 

@@ -11,9 +11,10 @@ of N violations h against N reference draws d: with z = [h | d] and weights
 w = +1 / -1, N^2 r = sum_ab w_a w_b K(z_a, z_b). Sorted once per row, K is a
 product of exp(-gap / lam) factors, so one upward and one downward recurrence
 give each sample's weighted kernel sums below and above it; r, dr/dh and dr/dlam
-follow in O(B N log N) time and O(B N) memory. Exact ties count in r with K = 1
-and add nothing to the gradient (sign(0) = 0); most violations are exactly 0, so
-a run of ties hands on its summed weight as an exact integer, losing no precision.
+follow in O(B N log N) time and O(B N) memory. The value needs only the upward
+pass, which is all mmd_batch runs. Exact ties count in r with K = 1 and add
+nothing to the gradient (sign(0) = 0); most violations are exactly 0, so a run
+of ties hands on its summed weight as an exact integer, losing no precision.
 """
 from __future__ import annotations
 
@@ -41,8 +42,8 @@ def draw_dirac_samples(rng: np.random.Generator, n: int, variance: float = DIRAC
 
 
 def mmd_batch(hbar: np.ndarray, delta: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Squared MMD per row, without the gradients; see mmd_batch_grad."""
-    return mmd_batch_grad(hbar, delta, lam)[0]
+    """Squared MMD per row, from the upward pass alone; see mmd_batch_grad."""
+    return _upward_pass(hbar, delta, lam)[0]
 
 
 def mmd_batch_grad(hbar: np.ndarray, delta: np.ndarray,
@@ -50,6 +51,34 @@ def mmd_batch_grad(hbar: np.ndarray, delta: np.ndarray,
     """Squared MMD per row of hbar (B, N) against delta ((N,) or (B, N)) with dr/dhbar
     (B, N) and dr/dlam (B,); lam is a scalar or (B,). Rows cancelling to r <= 0 report
     r = 0 and zero gradients; rows holding a non-finite sample report NaN."""
+    r, (lam, order, w, gap, decay, starts, run_w, up, below, clamped, bad) = _upward_pass(
+        hbar, delta, lam)
+    m, b = order.shape
+    n = m // 2
+    down = np.where(starts[:-1], run_w, 0.0)
+
+    # above[k] = sum over z_j > z_k of w_j K(z_j, z_k),
+    # dist[k] = sum over z_j < z_k of w_j (z_k - z_j) K(z_j, z_k)
+    above, dist = np.zeros((2, m, b))
+    for k in range(1, m):
+        dist[k] = decay[k - 1] * (dist[k - 1] + gap[k - 1] * (below[k - 1] + up[k - 1]))
+        j = m - 1 - k
+        above[j] = decay[j] * (above[j + 1] + down[j + 1])
+    g = np.empty_like(below)
+    np.put_along_axis(g, order, below - above, axis=0)
+
+    n2 = float(n * n)
+    dr_dh = (-2.0 / n2) * g[:n].T / lam[..., None]
+    dr_dlam = 2.0 * (w * dist).sum(axis=0) / (n2 * lam**2)
+    for out in (dr_dh, dr_dlam):
+        out[clamped] = 0.0
+        out[bad] = np.nan
+    return r, dr_dh, dr_dlam
+
+
+def _upward_pass(hbar, delta, lam):
+    """The value r and what the gradients continue from: the checked inputs, the
+    sorted pool, its tie runs and the upward recurrence `below`."""
     hbar, delta, lam = (np.asarray(a, dtype=float) for a in (hbar, delta, lam))
     if hbar.ndim != 2 or hbar.shape[1] < 1:
         raise ValueError(f"hbar must be (B, N) with N >= 1, got shape {hbar.shape}")
@@ -77,29 +106,18 @@ def mmd_batch_grad(hbar: np.ndarray, delta: np.ndarray,
     last = np.minimum.accumulate(np.where(starts[1:], pos, 2 * n)[::-1], axis=0)[::-1]
     cum = np.cumsum(w, axis=0)
     run_w = np.take_along_axis(cum, last, axis=0) - np.take_along_axis(cum - w, first, axis=0)
-    up, down = np.where(starts[1:], run_w, 0.0), np.where(starts[:-1], run_w, 0.0)
+    up = np.where(starts[1:], run_w, 0.0)
 
-    # below[k] = sum over z_j < z_k of w_j K(z_j, z_k), above[k] likewise over
-    # z_j > z_k, dist[k] = sum over z_j < z_k of w_j (z_k - z_j) K(z_j, z_k)
-    below, above, dist = np.zeros((3, 2 * n, b))
+    # below[k] = sum over z_j < z_k of w_j K(z_j, z_k)
+    below = np.zeros((2 * n, b))
     for k in range(1, 2 * n):
-        acc = below[k - 1] + up[k - 1]
-        below[k] = decay[k - 1] * acc
-        dist[k] = decay[k - 1] * (dist[k - 1] + gap[k - 1] * acc)
-    for k in range(2 * n - 2, -1, -1):
-        above[k] = decay[k] * (above[k + 1] + down[k + 1])
-    g = np.empty_like(zs)
-    np.put_along_axis(g, order, below - above, axis=0)
+        below[k] = decay[k - 1] * (below[k - 1] + up[k - 1])
 
-    n2 = float(n * n)
-    r_raw = (w * (run_w + 2.0 * below)).sum(axis=0) / n2
-    dr_dh = (-2.0 / n2) * g[:n].T / lam[..., None]
-    dr_dlam = 2.0 * (w * dist).sum(axis=0) / (n2 * lam**2)
-    clamped = r_raw <= 0.0
-    for out in (r_raw, dr_dh, dr_dlam):
-        out[clamped] = 0.0
-        out[bad] = np.nan
-    return r_raw, dr_dh, dr_dlam
+    r = (w * (run_w + 2.0 * below)).sum(axis=0) / float(n * n)
+    clamped = r <= 0.0
+    r[clamped] = 0.0
+    r[bad] = np.nan
+    return r, (lam, order, w, gap, decay, starts, run_w, up, below, clamped, bad)
 
 
 def chance_probability_oracle(

@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from clearnav import bench
 from clearnav.bench import (
     EpisodeConfig,
+    EpisodeOutcome,
     LearnedModel,
     SuiteConfig,
     emit_traces,
@@ -24,7 +26,16 @@ from clearnav.bench import (
 from clearnav.dynamics import RobotState
 from clearnav.model import ModelParams, PolarFeaturizer, save_checkpoint
 from clearnav.planner import PlannerConfig
-from clearnav.world import Box, Circle, NoiseModel, SensorConfig, World, true_clearance
+from clearnav.world import (
+    Box,
+    Circle,
+    NoiseModel,
+    SensorConfig,
+    World,
+    sensor_to_dict,
+    true_clearance,
+    world_to_dict,
+)
 
 
 def fast_planner(**kw) -> PlannerConfig:
@@ -35,6 +46,12 @@ def fast_planner(**kw) -> PlannerConfig:
 
 def quiet() -> SensorConfig:
     return SensorConfig(noise=NoiseModel())
+
+
+def fake_outcome(result: str, seed: int, method: str) -> EpisodeOutcome:
+    return EpisodeOutcome(result=result, duration=1.0, trace={}, avg_speed=0.5, max_speed=0.5,
+                          min_true_clearance=1.0, world=None, seed=seed, method=method,
+                          commands=np.zeros((0, 2)))
 
 
 class TestClutterWorlds:
@@ -163,6 +180,47 @@ class TestBenchmark:
         with pytest.raises(ValueError, match="model_paths"):
             run_benchmark(["augmented"], 1, 0, quiet(), fast_planner(), models={"augmented": model},
                           workers=2)
+
+    def test_worker_loads_each_checkpoint_once(self, monkeypatch, tmp_path):
+        paths = {}
+        for name in ("augmented", "baseline_nll"):
+            paths[name] = str(tmp_path / f"{name}.npz")
+            save_checkpoint(paths[name], ModelParams.init(np.random.default_rng(0), 34, 50, 8), None,
+                            {"fov": 1.2, "max_range": 5.0, "n_sectors": 32})
+        loads, seen = [], []
+
+        def counting_load(path):
+            loads.append(path)
+            return model_from_checkpoint(path)
+
+        def fake_episode(world, method, seed, sensor, planner_cfg, episode_cfg, models):
+            seen.append(models)
+            return fake_outcome("reached", seed, method)
+
+        monkeypatch.setattr(bench, "_worker_models", {})
+        monkeypatch.setattr(bench, "model_from_checkpoint", counting_load)
+        monkeypatch.setattr(bench, "run_episode", fake_episode)
+        bench._load_worker_models(paths)
+        world = world_to_dict(make_clutter_world(np.random.default_rng(0)))
+        for method in ("augmented", "baseline_nll"):
+            bench._episode_job((world, method, 0, sensor_to_dict(quiet()), fast_planner(),
+                                EpisodeConfig()))
+        assert sorted(loads) == sorted(paths.values())
+        assert len(seen) == 2 and all(set(m) == set(paths) for m in seen)
+
+    def test_report_splits_stuck_from_timeout(self, monkeypatch):
+        results = iter(["reached", "collided", "stuck", "timeout", "timeout"])
+
+        def fake_episode(world, method, seed, sensor, planner_cfg, episode_cfg, models):
+            return fake_outcome(next(results), seed, method)
+
+        monkeypatch.setattr(bench, "run_episode", fake_episode)
+        rep = run_benchmark(["oracle"], 5, 0, quiet(), fast_planner())
+        stats = rep.methods["oracle"]
+        assert (stats["reached_pct"], stats["collision_pct"], stats["stuck_pct"],
+                stats["timeout_pct"]) == (20.0, 20.0, 20.0, 40.0)
+        row = rep.format_table().splitlines()[2].split()
+        assert "% timeout" in rep.format_table() and row[1:4] == ["20.0", "20.0", "40.0"]
 
     def test_workers_do_not_change_results(self):
         cfg = fast_planner()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from clearnav.bench import EpisodeConfig, oracle_factory
-from clearnav.dynamics import ControlSequence, RobotState, rollout
+from clearnav.dynamics import ControlSequence, RobotState, rollout, rollout_batch
 from clearnav.planner import (
     PlannerConfig,
     PlanningError,
@@ -89,6 +89,24 @@ class TestPlan:
         costs = [s.best_cost for s in res.iterations]
         assert all(b <= a for a, b in zip(costs, costs[1:]))
         assert len(costs) == cfg.iterations
+
+    def test_only_risk_elites_rolled_out_and_breakdown_matches(self, circle_world, monkeypatch):
+        cfg = fast_cfg()
+        rows = []
+
+        def counting_rollout_batch(state, commands, dt):
+            rows.append(commands.shape[0])
+            return rollout_batch(state, commands, dt)
+
+        monkeypatch.setattr("clearnav.planner.rollout_batch", counting_rollout_batch)
+        pred = oracle_predictor(circle_world, cfg)
+        res = plan(circle_world.start, pred, circle_world.goal, cfg, np.random.default_rng(5))
+        assert len(rows) == cfg.iterations and max(rows) <= cfg.risk_elites
+        # the breakdown belongs to the returned controls, not to another candidate
+        want = state_cost(rollout(circle_world.start, res.controls), circle_world.goal)
+        assert res.state_cost == pytest.approx(want, rel=1e-9)
+        total = cfg.w_state * res.state_cost + cfg.w_risk * res.risk + cfg.w_effort * res.effort
+        assert res.cost == pytest.approx(total, rel=1e-12)
 
     def test_bounds_exact(self, circle_world, rng):
         cfg = fast_cfg()

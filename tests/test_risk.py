@@ -228,6 +228,7 @@ class TestMmdBatchGrad:
         r, dr_dh, dr_dlam = mmd_batch_grad(hbar, delta, lam)
         want_r, want_dh, want_dlam = dense_mmd_grad(hbar, delta, lam)
         assert r == pytest.approx(want_r, rel=0, abs=1e-12)
+        assert np.array_equal(mmd_batch(hbar, delta, lam), r)
         # rows clamped to r = 0 report zero gradients; rounding decides the clamp
         # only for rows whose r is below the value tolerance
         same = (r > 0.0) == (want_r > 0.0)
@@ -239,22 +240,27 @@ class TestMmdBatchGrad:
             scale[:, None] * want_dh[same], rel=1e-9, abs=1e-12)
         assert scale * dr_dlam[same] == pytest.approx(scale * want_dlam[same], rel=1e-9, abs=1e-12)
 
+    # the boundary tests cover both names: mmd_batch does not call mmd_batch_grad
     def test_rejects_non_2d_hbar(self):
-        with pytest.raises(ValueError, match="hbar"):
-            mmd_batch_grad(np.zeros(5), np.zeros(5), 0.1)
+        for mmd in (mmd_batch, mmd_batch_grad):
+            with pytest.raises(ValueError, match="hbar"):
+                mmd(np.zeros(5), np.zeros(5), 0.1)
 
     def test_rejects_misshaped_delta(self):
-        with pytest.raises(ValueError, match="delta"):
-            mmd_batch_grad(np.zeros((3, 5)), np.zeros((2, 5)), 0.1)
+        for mmd in (mmd_batch, mmd_batch_grad):
+            with pytest.raises(ValueError, match="delta"):
+                mmd(np.zeros((3, 5)), np.zeros((2, 5)), 0.1)
 
     def test_rejects_misshaped_lam(self):
-        with pytest.raises(ValueError, match="lam"):
-            mmd_batch_grad(np.zeros((3, 5)), np.zeros(5), np.full(2, 0.1))
+        for mmd in (mmd_batch, mmd_batch_grad):
+            with pytest.raises(ValueError, match="lam"):
+                mmd(np.zeros((3, 5)), np.zeros(5), np.full(2, 0.1))
 
     @pytest.mark.parametrize("bad", [0.0, -0.1, np.nan, np.inf])
     def test_rejects_nonpositive_or_nonfinite_lam(self, bad):
-        with pytest.raises(ValueError, match="lam"):
-            mmd_batch_grad(np.zeros((3, 5)), np.zeros(5), np.array([0.1, bad, 0.1]))
+        for mmd in (mmd_batch, mmd_batch_grad):
+            with pytest.raises(ValueError, match="lam"):
+                mmd(np.zeros((3, 5)), np.zeros(5), np.array([0.1, bad, 0.1]))
 
     def test_nonfinite_samples_poison_their_row_only(self, rng):
         hbar = np.abs(rng.normal(0, 0.1, (4, 6)))
@@ -264,6 +270,7 @@ class TestMmdBatchGrad:
         delta[2, 5] = -np.inf
         r, dr_dh, dr_dlam = mmd_batch_grad(hbar, delta, 0.1)
         assert np.isnan(r[:3]).all() and np.isnan(dr_dh[:3]).all() and np.isnan(dr_dlam[:3]).all()
+        assert np.array_equal(np.isnan(mmd_batch(hbar, delta, 0.1)), [True, True, True, False])
         alone = np.hstack([out[0].ravel() for out in mmd_batch_grad(hbar[3:], delta[3:], 0.1)])
         assert np.hstack([r[3], dr_dh[3], dr_dlam[3]]) == pytest.approx(alone, rel=1e-12, abs=1e-15)
 
