@@ -19,9 +19,11 @@ import csv
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
@@ -187,6 +189,10 @@ def _cloud_clearance_predictor(cloud_world: np.ndarray, state: RobotState, sigma
     # resolved at call time: a module-level binding here would bypass anything
     # that replaces clearnav.model.worst_case_clearance (perfbench's span tracer)
     from .model import worst_case_clearance
+
+    # standardize_cloud pads a short scan by resampling it with replacement, and
+    # the clearance is a minimum over (pose, point) pairs, which copies cannot move
+    cloud_world = np.unique(cloud_world, axis=0)
 
     def predictor(u_flat: np.ndarray):
         mu = worst_case_clearance(state, u_flat.reshape(-1, horizon, 2), cloud_world, dt, cap)
@@ -438,6 +444,25 @@ def suite_worlds(n: int, seed: int, suite: SuiteConfig | None = None) -> list[Wo
 # Benchmark
 
 _worker_models: dict[str, LearnedModel] = {}  # this worker process's models, set by its pool
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _one_blas_thread_env():
+    """Set the BLAS thread counts to 1 in os.environ for the block, then restore them.
+
+    BLAS reads them once, when numpy loads, so they reach processes spawned inside
+    the block; a forked worker keeps the thread count its parent loaded BLAS with."""
+    saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
 
 
 def _load_worker_models(model_paths: dict[str, str] | None) -> None:
@@ -488,6 +513,7 @@ def run_benchmark(
     so methods face identical scenarios. Results are deterministic for a given
     (seed, config) regardless of worker count. Each worker process loads the
     checkpoints in `model_paths` once, so workers > 1 with a learned method needs it.
+    Workers are spawned with BLAS pinned to one thread.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
@@ -515,8 +541,12 @@ def run_benchmark(
             (world_to_dict(w), m, _episode_seed(seed, e), sensor_to_dict(sensor), planner_cfg, ep)
             for (m, e, w) in jobs
         ]
-        with ProcessPoolExecutor(max_workers=workers, initializer=_load_worker_models,
-                                 initargs=(model_paths,)) as pool:
+        # spawned workers load numpy afresh with one BLAS thread each, so that
+        # `workers` processes do not oversubscribe the cores with BLAS threads
+        with _one_blas_thread_env(), ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
+            initializer=_load_worker_models, initargs=(model_paths,),
+        ) as pool:
             results = list(pool.map(_episode_job, arglist))
     else:
         results = [

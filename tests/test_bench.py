@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from clearnav.bench import (
     EpisodeOutcome,
     LearnedModel,
     SuiteConfig,
+    costmap_factory,
     emit_traces,
     grid_path_exists,
     make_clutter_world,
@@ -24,7 +26,7 @@ from clearnav.bench import (
     suite_worlds,
 )
 from clearnav.dynamics import RobotState
-from clearnav.model import ModelParams, PolarFeaturizer, save_checkpoint
+from clearnav.model import ModelParams, PolarFeaturizer, save_checkpoint, worst_case_clearance
 from clearnav.planner import PlannerConfig
 from clearnav.world import (
     Box,
@@ -32,7 +34,10 @@ from clearnav.world import (
     NoiseModel,
     SensorConfig,
     World,
+    body_to_world,
+    raycast_scan,
     sensor_to_dict,
+    standardize_cloud,
     true_clearance,
     world_to_dict,
 )
@@ -46,6 +51,13 @@ def fast_planner(**kw) -> PlannerConfig:
 
 def quiet() -> SensorConfig:
     return SensorConfig(noise=NoiseModel())
+
+
+def blas_thread_count() -> int:
+    """Threads of the calling process after a BLAS matmul (a pool job: module level)."""
+    a = np.ones((200, 200))
+    a @ a
+    return len(os.listdir("/proc/self/task"))
 
 
 def fake_outcome(result: str, seed: int, method: str) -> EpisodeOutcome:
@@ -229,6 +241,24 @@ class TestBenchmark:
         b = run_benchmark(["oracle", "raw_costmap"], 2, 3, quiet(), cfg, ep, workers=2)
         assert a.to_json() == b.to_json()
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+    def test_pool_workers_run_blas_on_one_thread(self, monkeypatch):
+        counts = []
+
+        class ProbedPool(bench.ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                probes = [self.submit(blas_thread_count) for _ in range(4)]
+                counts.extend(p.result() for p in probes)
+                return super().map(fn, *iterables, **kwargs)
+
+        env = {k: os.environ.get(k)
+               for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", ProbedPool)
+        run_benchmark(["oracle"], 1, 3, quiet(), fast_planner(iterations=1),
+                      EpisodeConfig(timeout_s=1.0), workers=2)
+        assert counts == [1, 1, 1, 1]
+        assert {k: os.environ.get(k) for k in env} == env
+
     def test_zero_noise_costmap_matches_oracle(self):
         # noise ablation control: with exact sensing the costmap check and the
         # oracle agree on every episode outcome
@@ -248,6 +278,35 @@ class TestBenchmark:
             np.mean([o["avg_speed"] for o in outs])
         )
         assert rep.methods["oracle"]["max_speed"] == max(o["max_speed"] for o in outs)
+
+
+class TestCloudPredictor:
+    def test_queries_distinct_points_with_equal_result(self, monkeypatch):
+        world = make_clutter_world(np.random.default_rng(42))
+        sensor = SensorConfig()
+        rng = np.random.default_rng(0)
+        state = world.start
+        padded = standardize_cloud(raycast_scan(state, world, sensor), sensor, rng)
+        assert len(np.unique(padded, axis=0)) < len(padded)  # padding made copies
+        seen = []
+
+        def spy(initial, commands, cloud_world, dt, cap):
+            seen.append(np.array(cloud_world))
+            return worst_case_clearance(initial, commands, cloud_world, dt, cap)
+
+        monkeypatch.setattr("clearnav.model.worst_case_clearance", spy)
+        cfg = fast_planner()
+        factory = costmap_factory(sensor, cfg, EpisodeConfig())
+        u = rng.uniform([0.0, -1.0], [1.0, 1.0], (24, cfg.horizon, 2))
+        mu = factory(padded, state)(u.reshape(24, -1))[0]
+        assert len(seen) == 1 and len(np.unique(seen[0], axis=0)) == len(seen[0])
+        assert np.array_equal(mu, worst_case_clearance(state, u, body_to_world(padded, state),
+                                                       cfg.dt, sensor.max_range))
+        empty = factory(np.zeros((0, 2)), state)(u.reshape(24, -1))[0]
+        assert np.array_equal(empty, np.full(24, sensor.max_range))
+        padded[5] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            factory(padded, state)(u.reshape(24, -1))
 
 
 class TestTraces:

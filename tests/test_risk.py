@@ -222,6 +222,8 @@ class TestMmdBatchGrad:
     @example((np.array([[0.0, 0.2]]), np.array([0.0, 0.2]), np.array([1e3])))
     @example((np.array([[0.0, 1.36e-13, 0.0]]), np.zeros(3), 1e3))
     @example((np.array([[0.0, 1e-6, 0.0, 0.5, 0.0]]), np.array([0.0, 0.0, 0.0, 2**-7, 2**-7]), 1e-6))
+    # row 0's pool ends in a tie run (0.5, 0.5) and row 1's starts with one (five 0s)
+    @example((np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 0.3]]), np.zeros(3), np.array([0.1, 0.2])))
     @settings(max_examples=300, deadline=None)
     def test_matches_dense_blocks(self, inputs):
         hbar, delta, lam = inputs
