@@ -11,6 +11,7 @@ V_MAX = 1.0
 OMEGA_MAX = 1.0
 DEFAULT_HORIZON = 50
 DEFAULT_DT = 0.1
+_COMMAND_BOUNDS = np.array([[V_MIN, -OMEGA_MAX], [V_MAX, OMEGA_MAX]])  # rows low, high; columns v, omega
 
 
 @dataclass(frozen=True)
@@ -137,8 +138,7 @@ def sample_controls(rng: np.random.Generator, n: int, horizon: int = DEFAULT_HOR
 
 
 def clip_command_batch(raw: np.ndarray) -> np.ndarray:
-    """Clamp a flat (n, 2H) batch in place-compatible fashion; returns a new array."""
-    out = raw.copy()
-    out[:, 0::2] = np.clip(out[:, 0::2], V_MIN, V_MAX)
-    out[:, 1::2] = np.clip(out[:, 1::2], -OMEGA_MAX, OMEGA_MAX)
-    return out
+    """Clamp flat (n, 2H) rows [v_0, w_0, v_1, w_1, ...] to the command bounds,
+    into a new array; raw is left unchanged."""
+    lo, hi = np.tile(_COMMAND_BOUNDS, raw.shape[1] // 2)
+    return np.clip(raw, lo, hi)

@@ -12,7 +12,11 @@ w = +1 / -1, N^2 r = sum_ab w_a w_b K(z_a, z_b). Sorted once per row, K is a
 product of exp(-gap / lam) factors, so one upward and one downward recurrence
 give each sample's weighted kernel sums below and above it; r, dr/dh and dr/dlam
 follow in O(B N log N) time and O(B N) memory. The value needs only the upward
-pass, which is all mmd_batch runs. Exact ties count in r with K = 1 and add
+pass, which is all mmd_batch runs. The pool is sorted with numpy's default
+argsort, which is not stable: inside a tie run of one sign every quantity the
+passes read is order-free, so only a batch holding a run that mixes h and d
+samples (every batch with a non-finite row, whose pool is zeroed) is sorted
+again, stably. Exact ties count in r with K = 1 and add
 nothing to the gradient (sign(0) = 0); most violations are exactly 0, so a run
 of ties hands on its summed weight as an exact integer, losing no precision.
 Each run gets an id, distinct across rows, and one bincount of the weights by
@@ -53,21 +57,22 @@ def mmd_batch_grad(hbar: np.ndarray, delta: np.ndarray,
     """Squared MMD per row of hbar (B, N) against delta ((N,) or (B, N)) with dr/dhbar
     (B, N) and dr/dlam (B,); lam is a scalar or (B,). Rows cancelling to r <= 0 report
     r = 0 and zero gradients; rows holding a non-finite sample report NaN."""
-    r, (lam, order, w, gap, decay, starts, run_w, up, below, clamped, bad) = _upward_pass(
+    r, (lam, flat, w, gap, decay, starts, run_w, up, below, clamped, bad) = _upward_pass(
         hbar, delta, lam)
-    m, b = order.shape
+    m, b = flat.shape
     n = m // 2
     down = np.where(starts[:-1], run_w, 0.0)
+    step = gap * (below[:-1] + up[:-1])
 
     # above[k] = sum over z_j > z_k of w_j K(z_j, z_k),
     # dist[k] = sum over z_j < z_k of w_j (z_k - z_j) K(z_j, z_k)
     above, dist = np.zeros((2, m, b))
     for k in range(1, m):
-        dist[k] = decay[k - 1] * (dist[k - 1] + gap[k - 1] * (below[k - 1] + up[k - 1]))
+        dist[k] = decay[k - 1] * (dist[k - 1] + step[k - 1])
         j = m - 1 - k
         above[j] = decay[j] * (above[j + 1] + down[j + 1])
-    g = np.empty_like(below)
-    np.put_along_axis(g, order, below - above, axis=0)
+    g = np.empty((m, b))
+    g.ravel()[flat] = below - above
 
     n2 = float(n * n)
     dr_dh = (-2.0 / n2) * g[:n].T / lam[..., None]
@@ -94,16 +99,24 @@ def _upward_pass(hbar, delta, lam):
     z = np.concatenate([hbar.T, np.broadcast_to(delta, hbar.shape).T])  # (2N, B)
     bad = ~np.isfinite(z).all(axis=0)
     z[:, bad] = 0.0
-    order = np.argsort(z, axis=0, kind="stable")
-    zs = np.take_along_axis(z, order, axis=0)
-    w = np.where(order < n, 1.0, -1.0)
-    gap = np.diff(zs, axis=0)
+    col = np.arange(b)
+    for kind in (None, "stable"):
+        flat = np.argsort(z, axis=0, kind=kind)
+        w = np.where(flat < n, 1.0, -1.0)
+        flat *= b
+        flat += col  # flat index of each sorted sample in z
+        zs = z.ravel()[flat]
+        gap = np.diff(zs, axis=0)
+        # a tie run of one sign reads the same in any order; only a run mixing
+        # h and delta samples needs the stable order
+        if not np.any((gap == 0.0) & (w[1:] != w[:-1])):
+            break
     decay = np.exp(-gap / lam)
 
     # runs of ties hand on their summed weight at their last sample going up, first going down
     starts = np.ones((2 * n + 1, b), dtype=bool)  # [k]: a run starts at sample k
     starts[1:-1] = gap > 0.0
-    rid = np.cumsum(starts[:-1], axis=0) - 1 + np.arange(b) * (2 * n)  # run ids unique per row
+    rid = np.cumsum(starts[:-1], axis=0) - 1 + col * (2 * n)  # run ids unique per row
     run_w = np.bincount(rid.ravel(), weights=w.ravel(), minlength=2 * n * b)[rid]
     up = np.where(starts[1:], run_w, 0.0)
 
@@ -116,7 +129,7 @@ def _upward_pass(hbar, delta, lam):
     clamped = r <= 0.0
     r[clamped] = 0.0
     r[bad] = np.nan
-    return r, (lam, order, w, gap, decay, starts, run_w, up, below, clamped, bad)
+    return r, (lam, flat, w, gap, decay, starts, run_w, up, below, clamped, bad)
 
 
 def chance_probability_oracle(

@@ -29,7 +29,7 @@ import numpy as np
 from .data import ClearanceDataset
 from .dynamics import RobotState
 from .model import ModelParams, PolarFeaturizer, RiskHeadParams, forward_batch, sigmoid
-from .risk import draw_dirac_samples, mmd_batch_grad, residual
+from .risk import draw_dirac_samples, mmd_batch, mmd_batch_grad, residual
 
 MODES = ("baseline", "augmented", "nll_sigma_penalty")
 
@@ -135,9 +135,11 @@ def _forward(
     noise: BatchNoise,
     cfg: TrainConfig,
     risk: bool,
+    grad: bool = True,
 ) -> _Pass:
     """Network and NLL; with risk also reparameterized samples mu + sigma * eps,
-    their violations, the MMD against the near-Dirac draws, and the risk head."""
+    their violations, the MMD against the near-Dirac draws (with its gradients
+    unless grad is False), and the risk head."""
     mu, sigma, lam, cache = forward_batch(params, x, cache=True)
     var = sigma**2
     err = d_gt - mu
@@ -147,7 +149,10 @@ def _forward(
         if not np.isfinite(lam).all():
             raise TrainingDiverged("the network predicts a non-finite kernel width")
         out.hbar = residual(mu[:, None] + sigma[:, None] * noise.eps, cfg.d_o)
-        out.r, out.dr_dh, out.dr_dlam = mmd_batch_grad(out.hbar, noise.dirac, lam)
+        if grad:
+            out.r, out.dr_dh, out.dr_dlam = mmd_batch_grad(out.hbar, noise.dirac, lam)
+        else:
+            out.r = mmd_batch(out.hbar, noise.dirac, lam)
         out.yhat, (out.a1, _) = risk_head_forward(out.r, phi)
         out.cls = safe.astype(int)
         out.ce = -np.log(out.yhat[np.arange(out.cls.size), out.cls])
@@ -295,7 +300,7 @@ def evaluate(
 ) -> dict:
     """Held-out metrics: NLL, CE, risk-head accuracy, spread statistics."""
     noise = BatchNoise.draw(rng, x.shape[0], cfg)
-    f = _forward(params, phi, x, d_gt, safe, noise, cfg, risk=True)
+    f = _forward(params, phi, x, d_gt, safe, noise, cfg, risk=True, grad=False)
     return {
         "nll": float(f.nll.mean()),
         "ce": float(f.ce.mean()),

@@ -3,9 +3,17 @@
 Worlds are axis-aligned rectangles populated with circular and box obstacles.
 Scans are expressed in the robot body frame (x forward, y left), matching the
 egocentric inputs the rest of the stack consumes.
+
+scan_ranges memoises one entry: the last (state, world, sensor) it cast and
+the ranges it found. Its key is immutable: the frozen RobotState and
+SensorConfig by value, the frozen World by identity (the cache holds a
+reference, so the id cannot be reused). The arrays it returns are read-only
+and shared by every caller of that pose, so the noisy scan and the noise-free
+reference of one pose cost one ray cast.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -34,24 +42,6 @@ class Circle:
     def contains(self, p: np.ndarray) -> bool:
         return math.hypot(p[0] - self.cx, p[1] - self.cy) <= self.radius
 
-    def ray_hits(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        """First-intersection distances for unit rays; inf where the ray misses.
-
-        A ray starting inside returns 0.
-        """
-        oc = origin - np.array([self.cx, self.cy])
-        b = dirs @ oc
-        c0 = oc @ oc - self.radius**2
-        disc = b * b - c0
-        t = np.full(dirs.shape[0], np.inf)
-        ok = disc >= 0.0
-        root = np.sqrt(np.maximum(disc, 0.0))
-        t1 = -b - root
-        t2 = -b + root
-        t = np.where(ok & (t1 >= 0.0), t1, t)
-        t = np.where(ok & (t1 < 0.0) & (t2 >= 0.0), 0.0, t)
-        return t
-
 
 @dataclass(frozen=True)
 class Box:
@@ -72,29 +62,44 @@ class Box:
     def contains(self, p: np.ndarray) -> bool:
         return self.xmin <= p[0] <= self.xmax and self.ymin <= p[1] <= self.ymax
 
-    def ray_hits(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        tmin, tmax = _slab_interval(origin, dirs, self.xmin, self.ymin, self.xmax, self.ymax)
-        hit = tmax >= np.maximum(tmin, 0.0)
-        entry = np.where(tmin >= 0.0, tmin, 0.0)  # origin inside -> 0
-        return np.where(hit, entry, np.inf)
-
 
 Obstacle = Circle | Box
 
 
-def _slab_interval(origin, dirs, xmin, ymin, xmax, ymax):
-    """Entry/exit parameters of rays against an axis-aligned rectangle."""
+def _slab_interval(origin, dirs, lo, hi):
+    """Entry/exit parameters of rays against axis-aligned rectangles.
+
+    lo, hi: (K, 2) min and max corners; returns the (K, R) entry and exit
+    parameters of the R unit rays dirs (R, 2) from origin.
+    """
+    near, far = [], []
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / dirs
-    lo = (np.array([xmin, ymin]) - origin) * inv
-    hi = (np.array([xmax, ymax]) - origin) * inv
-    # rays parallel to a slab: +-inf from the division sorts correctly,
-    # except 0/0 -> nan when the origin lies exactly on a slab plane
-    lo = np.nan_to_num(lo, nan=-np.inf)
-    hi = np.nan_to_num(hi, nan=np.inf)
-    t_near = np.minimum(lo, hi)
-    t_far = np.maximum(lo, hi)
-    return t_near.max(axis=1), t_far.min(axis=1)
+        for axis in (0, 1):
+            inv = 1.0 / dirs[:, axis]
+            t_lo = (lo[:, axis] - origin[axis])[:, None] * inv
+            t_hi = (hi[:, axis] - origin[axis])[:, None] * inv
+            # rays parallel to a slab: +-inf from the division sorts correctly,
+            # except 0 * inf -> nan when the origin lies exactly on a slab plane
+            np.copyto(t_lo, -np.inf, where=np.isnan(t_lo))
+            np.copyto(t_hi, np.inf, where=np.isnan(t_hi))
+            near.append(np.minimum(t_lo, t_hi))
+            far.append(np.maximum(t_lo, t_hi))
+    return np.maximum(*near), np.minimum(*far)
+
+
+def _circle_hits(origin, dirs, circles):
+    """(C, R) first-intersection distances of the unit rays dirs (R, 2) from origin
+    with each circle; inf where a ray misses, 0 where it starts inside."""
+    oc = [origin - np.array([c.cx, c.cy]) for c in circles]
+    b = np.stack([dirs @ v for v in oc])  # one matvec per circle: a batched matmul rounds differently
+    c0 = np.array([v @ v - c.radius**2 for v, c in zip(oc, circles)])[:, None]
+    disc = b * b - c0
+    ok = disc >= 0.0
+    root = np.sqrt(np.maximum(disc, 0.0))
+    t1 = -b - root
+    t2 = -b + root
+    t = np.where(ok & (t1 >= 0.0), t1, np.inf)
+    return np.where(ok & (t1 < 0.0) & (t2 >= 0.0), 0.0, t)
 
 
 @dataclass(frozen=True)
@@ -187,22 +192,33 @@ def scan_angles(cfg: SensorConfig) -> np.ndarray:
     return np.linspace(-cfg.fov / 2.0, cfg.fov / 2.0, cfg.n_rays)
 
 
+@functools.lru_cache(maxsize=1)
 def scan_ranges(state: RobotState, world: World, cfg: SensorConfig) -> tuple[np.ndarray, np.ndarray]:
     """Raw polar scan: (body bearings, ranges), inf where nothing within max_range.
 
-    Bound walls count as hit surfaces (the arena is enclosed).
+    Bound walls count as hit surfaces (the arena is enclosed). Every box and the
+    arena share one slab pass, every circle one quadratic pass. Cached for the
+    last pose; both arrays are read-only.
     """
     angles = scan_angles(cfg)
     world_angles = state.psi + angles
     dirs = np.column_stack([np.cos(world_angles), np.sin(world_angles)])
     origin = state.position
-    t = np.full(cfg.n_rays, np.inf)
-    for ob in world.obstacles:
-        t = np.minimum(t, ob.ray_hits(origin, dirs))
+    boxes = [ob for ob in world.obstacles if isinstance(ob, Box)]
     xmin, ymin, xmax, ymax = world.bounds
-    _, t_exit = _slab_interval(origin, dirs, xmin, ymin, xmax, ymax)
-    t = np.minimum(t, np.maximum(t_exit, 0.0))
+    lo = np.array([(b.xmin, b.ymin) for b in boxes] + [(xmin, ymin)], dtype=float)
+    hi = np.array([(b.xmax, b.ymax) for b in boxes] + [(xmax, ymax)], dtype=float)
+    t_near, t_far = _slab_interval(origin, dirs, lo, hi)  # last row: the arena
+    hit = t_far[:-1] >= np.maximum(t_near[:-1], 0.0)
+    entry = np.where(t_near[:-1] >= 0.0, t_near[:-1], 0.0)  # origin inside -> 0
+    t = np.where(hit, entry, np.inf).min(axis=0, initial=np.inf)
+    circles = [ob for ob in world.obstacles if isinstance(ob, Circle)]
+    if circles:
+        t = np.minimum(t, _circle_hits(origin, dirs, circles).min(axis=0))
+    t = np.minimum(t, np.maximum(t_far[-1], 0.0))
     t = np.where(t <= cfg.max_range, t, np.inf)
+    angles.flags.writeable = False
+    t.flags.writeable = False
     return angles, t
 
 

@@ -216,6 +216,69 @@ class TestEmpiricalMMD:
             assert dr_dlam[b] == pytest.approx(num, rel=1e-5, abs=1e-8)
 
 
+def stable_mmd_grad(hbar, delta, lam):
+    """Reference for the sort of mmd_batch_grad: the same two passes over a pool
+    sorted stably, gathered and scattered along the sample axis."""
+    hbar, delta, lam = (np.asarray(a, dtype=float) for a in (hbar, delta, lam))
+    b, n = hbar.shape
+    m = 2 * n
+    z = np.concatenate([hbar.T, np.broadcast_to(delta, hbar.shape).T])
+    bad = ~np.isfinite(z).all(axis=0)
+    z[:, bad] = 0.0
+    order = np.argsort(z, axis=0, kind="stable")
+    zs = np.take_along_axis(z, order, axis=0)
+    w = np.where(order < n, 1.0, -1.0)
+    gap = np.diff(zs, axis=0)
+    decay = np.exp(-gap / lam)
+    starts = np.ones((m + 1, b), dtype=bool)
+    starts[1:-1] = gap > 0.0
+    rid = np.cumsum(starts[:-1], axis=0) - 1 + np.arange(b) * m
+    run_w = np.bincount(rid.ravel(), weights=w.ravel(), minlength=m * b)[rid]
+    up = np.where(starts[1:], run_w, 0.0)
+    down = np.where(starts[:-1], run_w, 0.0)
+    below, above, dist = np.zeros((3, m, b))
+    for k in range(1, m):
+        below[k] = decay[k - 1] * (below[k - 1] + up[k - 1])
+    for k in range(1, m):
+        dist[k] = decay[k - 1] * (dist[k - 1] + gap[k - 1] * (below[k - 1] + up[k - 1]))
+        j = m - 1 - k
+        above[j] = decay[j] * (above[j + 1] + down[j + 1])
+    r = (w * (run_w + 2.0 * below)).sum(axis=0) / float(n * n)
+    clamped = r <= 0.0
+    g = np.empty_like(below)
+    np.put_along_axis(g, order, below - above, axis=0)
+    dr_dh = (-2.0 / (n * n)) * g[:n].T / lam[..., None]
+    dr_dlam = 2.0 * (w * dist).sum(axis=0) / (n * n * lam**2)
+    for out in (r, dr_dh, dr_dlam):
+        out[clamped] = 0.0
+        out[bad] = np.nan
+    return r, dr_dh, dr_dlam
+
+
+@st.composite
+def tied_mmd_inputs(draw):
+    """Pools full of exact ties: violations from a few values (half of them 0), and a
+    reference that is exactly 0 (dirac_variance = 0), rounded to the violations' grid,
+    or continuous; some rows hold a non-finite sample."""
+    b, n = draw(st.integers(1, 5)), draw(st.integers(1, 20))
+    values = [0.0] + draw(st.lists(st.sampled_from([0.01, 0.02, 0.05, 0.1]), min_size=1, max_size=3))
+    hbar = np.array(draw(st.lists(st.sampled_from(values), min_size=b * n, max_size=b * n))).reshape(b, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from([(n,), (b, n)]))
+    kind = draw(st.sampled_from(["zero", "rounded", "continuous"]))
+    if kind == "zero":
+        delta = np.broadcast_to(draw_dirac_samples(rng, n, variance=0.0), shape).copy()
+    else:
+        delta = rng.normal(0.0, 0.03, shape)
+        if kind == "rounded":
+            delta = np.round(delta, 2)
+    for _ in range(draw(st.integers(0, 2))):
+        hbar[draw(st.integers(0, b - 1)), draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    lam = 10.0 ** rng.uniform(-3, 1) if draw(st.booleans()) else 10.0 ** rng.uniform(-3, 1, b)
+    return hbar, delta, lam
+
+
 class TestMmdBatchGrad:
     @given(mmd_inputs())
     @example((np.zeros((1, 1)), np.zeros(1), 1e-6))
@@ -241,6 +304,18 @@ class TestMmdBatchGrad:
         assert (scale[:, None] * dr_dh[same]) == pytest.approx(
             scale[:, None] * want_dh[same], rel=1e-9, abs=1e-12)
         assert scale * dr_dlam[same] == pytest.approx(scale * want_dlam[same], rel=1e-9, abs=1e-12)
+
+    @given(tied_mmd_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_unstable_sort_matches_stable_bitwise(self, inputs):
+        # inside a tie run of one sign the passes read nothing order-dependent;
+        # a run mixing violations and reference draws must be sorted stably
+        hbar, delta, lam = inputs
+        want = stable_mmd_grad(hbar, delta, lam)
+        got = mmd_batch_grad(hbar, delta, lam)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b, equal_nan=True)
+        assert np.array_equal(mmd_batch(hbar, delta, lam), want[0], equal_nan=True)
 
     # the boundary tests cover both names: mmd_batch does not call mmd_batch_grad
     def test_rejects_non_2d_hbar(self):

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clearnav.bench import EpisodeConfig, oracle_factory, suite_worlds
+from clearnav.data import generate_dataset
 from clearnav.dynamics import RobotState
+from clearnav.planner import PlannerConfig, SimState, mpc_step
 from clearnav.world import (
     BiasField,
     Box,
@@ -21,6 +24,7 @@ from clearnav.world import (
     load_scenario,
     raycast_scan,
     save_scenario,
+    scan_angles,
     scan_ranges,
     sensor_from_dict,
     sensor_to_dict,
@@ -29,6 +33,47 @@ from clearnav.world import (
     world_from_dict,
     world_to_dict,
 )
+
+
+def per_obstacle_scan(state, world, cfg):
+    """Reference for scan_ranges: one intersection per obstacle, folded in world order."""
+    angles = scan_angles(cfg)
+    world_angles = state.psi + angles
+    dirs = np.column_stack([np.cos(world_angles), np.sin(world_angles)])
+    origin = state.position
+
+    def slab(xmin, ymin, xmax, ymax):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1.0 / dirs
+            lo = (np.array([xmin, ymin]) - origin) * inv
+            hi = (np.array([xmax, ymax]) - origin) * inv
+        lo = np.nan_to_num(lo, nan=-np.inf)
+        hi = np.nan_to_num(hi, nan=np.inf)
+        return np.minimum(lo, hi).max(axis=1), np.maximum(lo, hi).min(axis=1)
+
+    t = np.full(cfg.n_rays, np.inf)
+    for ob in world.obstacles:
+        if isinstance(ob, Box):
+            tmin, tmax = slab(ob.xmin, ob.ymin, ob.xmax, ob.ymax)
+            hits = np.where(tmax >= np.maximum(tmin, 0.0), np.where(tmin >= 0.0, tmin, 0.0), np.inf)
+        else:
+            oc = origin - np.array([ob.cx, ob.cy])
+            b = dirs @ oc
+            disc = b * b - (oc @ oc - ob.radius**2)
+            ok = disc >= 0.0
+            root = np.sqrt(np.maximum(disc, 0.0))
+            t1, t2 = -b - root, -b + root
+            hits = np.where(ok & (t1 >= 0.0), t1, np.inf)
+            hits = np.where(ok & (t1 < 0.0) & (t2 >= 0.0), 0.0, hits)
+        t = np.minimum(t, hits)
+    _, t_exit = slab(*world.bounds)
+    t = np.minimum(t, np.maximum(t_exit, 0.0))
+    return angles, np.where(t <= cfg.max_range, t, np.inf)
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestTrueClearance:
@@ -119,6 +164,78 @@ class TestRaycast:
             xmin, ymin, xmax, ymax = world.bounds
             d_wall = min(p[0] - xmin, xmax - p[0], p[1] - ymin, ymax - p[1])
             assert min(d_obs, abs(d_wall)) < 1e-6
+
+
+class TestScanRanges:
+    """scan_ranges against the per-obstacle reference, bit for bit, and its one-entry cache."""
+
+    SENSORS = (SensorConfig(), SensorConfig(fov=2 * math.pi, n_rays=90, max_range=3.5),
+               SensorConfig(n_rays=1, max_range=50.0), SensorConfig(n_rays=7, max_range=50.0))
+
+    def check(self, state, world):
+        for cfg in self.SENSORS:
+            angles, ranges = scan_ranges(state, world, cfg)
+            want_angles, want_ranges = per_obstacle_scan(state, world, cfg)
+            assert_same_bits(angles, want_angles)
+            assert_same_bits(ranges, want_ranges)
+
+    def test_suite_worlds(self, rng):
+        for world in suite_worlds(6, 5):
+            for _ in range(30):
+                x, y = rng.uniform(world.bounds[:2], world.bounds[2:])
+                self.check(RobotState(x, y, rng.uniform(-math.pi, math.pi)), world)
+
+    @pytest.mark.parametrize("psi", [0.0, -0.0, math.pi, 0.5 * math.pi])
+    def test_edge_cases(self, psi):
+        # the central ray of n_rays = 1 or 7 runs exactly along x at psi = +-0, so it is
+        # parallel to every horizontal side; origins on those sides hit the nan branch
+        box, circle = Box(1.0, -1.0, 2.0, 1.0), Circle(-2.0, 0.0, 0.5)
+        worlds = [
+            World((box, circle, Box(-1.0, 2.0, 3.0, 2.5)), (-4, -3, 4, 3), RobotState(0, 0, 0), (3, 2)),
+            World((box,), (-4, -3, 4, 3), RobotState(0, 0, 0), (3, 2)),
+            World((circle,), (-4, -3, 4, 3), RobotState(0, 0, 0), (3, 2)),
+            World((), (-4, -3, 4, 3), RobotState(0, 0, 0), (3, 2)),
+        ]
+        origins = [(0.0, 0.0), (0.0, 0.5), (0.0, -1.0), (0.0, 1.0), (1.0, -1.0), (2.0, 1.0),
+                   (1.5, 0.0), (1.0, 0.0), (-2.0, 0.0), (-2.0, 0.5), (-1.5, 0.0), (0.0, -3.0),
+                   (-4.0, 0.0), (4.0, 3.0), (0.0, 2.0)]
+        for world in worlds:
+            for x, y in origins:
+                self.check(RobotState(x, y, psi), world)
+
+    def test_arrays_are_read_only(self, box_world, quiet_sensor):
+        angles, ranges = scan_ranges(RobotState(0.0, 0.1, 0.2), box_world, quiet_sensor)
+        for a in (angles, ranges):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_one_state_two_worlds(self, circle_world, box_world, quiet_sensor):
+        state = RobotState(0.0, 0.1, 0.05)
+        for world in (circle_world, box_world, circle_world, box_world):
+            _, ranges = scan_ranges(state, world, quiet_sensor)
+            assert_same_bits(ranges, per_obstacle_scan(state, world, quiet_sensor)[1])
+
+    def test_dataset_casts_each_snapshot_once(self):
+        sensor = SensorConfig(noise=NoiseModel(range_bias_scale=0.1, additive_sigma=0.02))
+        scan_ranges.cache_clear()
+        ds = generate_dataset(suite_worlds(2, 3), 3, np.random.default_rng(0), sensor,
+                              horizon=10, sequences_per_snapshot=4)
+        info = scan_ranges.cache_info()
+        assert ds.n_snapshots == 6
+        assert (info.misses, info.hits) == (6, 6)
+
+    def test_oracle_step_casts_once(self):
+        world = suite_worlds(1, 3)[0]
+        sensor = SensorConfig(noise=NoiseModel(additive_sigma=0.02))
+        cfg = PlannerConfig(iterations=2, samples=32, risk_elites=16, elites=8, risk_draws=10,
+                            horizon=10, seed=0)
+        factory = oracle_factory(world, sensor, cfg, EpisodeConfig())
+        sim = SimState(state=world.start, rng=np.random.default_rng(0))
+        scan_ranges.cache_clear()
+        mpc_step(sim, world, sensor, factory, world.goal, cfg)
+        info = scan_ranges.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestEstimatedScan:
