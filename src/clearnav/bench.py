@@ -31,6 +31,7 @@ import numpy as np
 from .dynamics import RobotState, step
 from .model import (
     DEFAULT_LAMBDA,
+    ClearanceIndex,
     ModelParams,
     PolarFeaturizer,
     RiskHeadParams,
@@ -193,9 +194,11 @@ def _cloud_clearance_predictor(cloud_world: np.ndarray, state: RobotState, sigma
     # standardize_cloud pads a short scan by resampling it with replacement, and
     # the clearance is a minimum over (pose, point) pairs, which copies cannot move
     cloud_world = np.unique(cloud_world, axis=0)
+    # every iteration of the plan call queries this cloud from this state
+    index = ClearanceIndex(state, cloud_world)
 
     def predictor(u_flat: np.ndarray):
-        mu = worst_case_clearance(state, u_flat.reshape(-1, horizon, 2), cloud_world, dt, cap)
+        mu = worst_case_clearance(state, u_flat.reshape(-1, horizon, 2), cloud_world, dt, cap, index)
         return mu, np.full_like(mu, sigma), np.full_like(mu, lam)
 
     return predictor
@@ -281,7 +284,7 @@ def run_episode(
     cols = {k: [] for k in TRACE_FIELDS}
     commands: list[tuple[float, float]] = []
 
-    def record(state: RobotState, t_step: int, res: PlanResult):
+    def record(state: RobotState, t_step: int, res: PlanResult, clearance: float):
         cols["t"].append(t_step * cfg.dt)
         cols["x"].append(state.x)
         cols["y"].append(state.y)
@@ -292,7 +295,7 @@ def run_episode(
         cols["sigma"].append(res.sigma)
         cols["lam"].append(res.lam)
         cols["risk"].append(res.risk)
-        cols["true_clearance"].append(min(true_clearance(state.position, world), sensor.max_range))
+        cols["true_clearance"].append(min(clearance, sensor.max_range))
 
     result = None
     positions = [world.start.position]
@@ -300,14 +303,15 @@ def run_episode(
     while True:
         executed, plan_res = mpc_step(sim, world, sensor, factory, goal, cfg, ep.exec_horizon)
         if first:
-            record(world.start, 0, plan_res)
+            record(world.start, 0, plan_res, true_clearance(world.start.position, world))
             first = False
         for s in executed:
             t_step = len(commands) + 1
             commands.append((s.v, s.omega))
             positions.append(s.position)
-            record(s, t_step, plan_res)
-            if true_clearance(s.position, world) < d_robot:
+            clearance = true_clearance(s.position, world)
+            record(s, t_step, plan_res, clearance)
+            if clearance < d_robot:
                 result = "collided"
                 break
             if np.hypot(s.x - goal[0], s.y - goal[1]) <= ep.goal_tolerance:

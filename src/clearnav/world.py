@@ -239,17 +239,26 @@ class BiasField:
     Knot values for drift epoch e are drawn from a generator seeded with
     (seed, e), so any epoch is reproducible regardless of query order. Between
     epochs the field is blended linearly; across bearing the knots are
-    cosine-interpolated on a periodic grid.
+    cosine-interpolated on a periodic grid. The knots of the epochs last
+    asked for are kept, read-only, so the steps of one epoch draw them once.
     """
 
     def __init__(self, noise: NoiseModel, seed: int, n_knots: int = 12):
         self.noise = noise
         self.seed = int(seed)
         self.n_knots = n_knots
+        self._kept: dict[int, np.ndarray] = {}
 
     def _knots(self, epoch: int) -> np.ndarray:
-        rng = np.random.default_rng([self.seed, int(epoch)])
-        return rng.uniform(-1.0, 1.0, self.n_knots) * self.noise.range_bias_scale
+        knots = self._kept.get(epoch)
+        if knots is None:
+            rng = np.random.default_rng([self.seed, int(epoch)])
+            knots = rng.uniform(-1.0, 1.0, self.n_knots) * self.noise.range_bias_scale
+            knots.flags.writeable = False
+            # values() reads epochs e and e + 1, so only the neighbours stay useful
+            self._kept = {e: k for e, k in self._kept.items() if abs(e - epoch) == 1}
+            self._kept[epoch] = knots
+        return knots
 
     def _interp(self, knots: np.ndarray, world_angles: np.ndarray) -> np.ndarray:
         pos = (np.mod(world_angles, 2 * math.pi)) / (2 * math.pi) * self.n_knots

@@ -26,7 +26,13 @@ from clearnav.bench import (
     suite_worlds,
 )
 from clearnav.dynamics import RobotState
-from clearnav.model import ModelParams, PolarFeaturizer, save_checkpoint, worst_case_clearance
+from clearnav.model import (
+    ClearanceIndex,
+    ModelParams,
+    PolarFeaturizer,
+    save_checkpoint,
+    worst_case_clearance,
+)
 from clearnav.planner import PlannerConfig
 from clearnav.world import (
     Box,
@@ -118,6 +124,21 @@ class TestRunEpisode:
         xy = np.column_stack([out.trace["x"], out.trace["y"]])
         replay_min = min(true_clearance(p, world) for p in xy)
         assert (out.result == "collided") == (replay_min < 0.3)
+
+    def test_true_clearance_once_per_state(self, monkeypatch):
+        # one call per trace row serves both the row and the collision verdict
+        world = make_clutter_world(np.random.default_rng(7))
+        calls = []
+
+        def counted(point, w):
+            calls.append(point)
+            return true_clearance(point, w)
+
+        monkeypatch.setattr(bench, "true_clearance", counted)
+        out = run_episode(world, "oracle", 9, quiet(), fast_planner(), EpisodeConfig(timeout_s=2.0))
+        assert len(calls) == out.trace["t"].size
+        assert np.array_equal(out.trace["true_clearance"],
+                              [min(true_clearance(p, world), 5.0) for p in calls])
 
     def test_invalid_method(self):
         world = make_clutter_world(np.random.default_rng(0))
@@ -288,20 +309,26 @@ class TestCloudPredictor:
         state = world.start
         padded = standardize_cloud(raycast_scan(state, world, sensor), sensor, rng)
         assert len(np.unique(padded, axis=0)) < len(padded)  # padding made copies
-        seen = []
+        seen, indexes = [], []
 
-        def spy(initial, commands, cloud_world, dt, cap):
+        def spy(initial, commands, cloud_world, dt, cap, index=None):
             seen.append(np.array(cloud_world))
+            indexes.append(index)
             return worst_case_clearance(initial, commands, cloud_world, dt, cap)
 
         monkeypatch.setattr("clearnav.model.worst_case_clearance", spy)
         cfg = fast_planner()
         factory = costmap_factory(sensor, cfg, EpisodeConfig())
         u = rng.uniform([0.0, -1.0], [1.0, 1.0], (24, cfg.horizon, 2))
-        mu = factory(padded, state)(u.reshape(24, -1))[0]
+        predictor = factory(padded, state)
+        mu = predictor(u.reshape(24, -1))[0]
         assert len(seen) == 1 and len(np.unique(seen[0], axis=0)) == len(seen[0])
         assert np.array_equal(mu, worst_case_clearance(state, u, body_to_world(padded, state),
                                                        cfg.dt, sensor.max_range))
+        # every query of one plan call goes through the one index built for it
+        predictor(u[::2].reshape(12, -1))
+        assert isinstance(indexes[0], ClearanceIndex) and indexes[1] is indexes[0]
+        assert np.array_equal(indexes[0].cloud, seen[0]) and indexes[0].initial == state
         empty = factory(np.zeros((0, 2)), state)(u.reshape(24, -1))[0]
         assert np.array_equal(empty, np.full(24, sensor.max_range))
         padded[5] = np.nan

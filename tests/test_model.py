@@ -15,6 +15,7 @@ from clearnav.data import generate_dataset
 from clearnav.dynamics import ControlSequence, RobotState, rollout_batch, sample_controls
 from clearnav.model import (
     LAMBDA_FLOOR,
+    ClearanceIndex,
     ModelParams,
     PolarFeaturizer,
     RiskHeadParams,
@@ -27,6 +28,7 @@ from clearnav.model import (
 )
 from clearnav.planner import PlannerConfig
 from clearnav.world import (
+    Box,
     Circle,
     NoiseModel,
     SensorConfig,
@@ -181,8 +183,11 @@ class TestWorstCaseClearance:
             assert got[i] == pytest.approx(brute, abs=1e-9)
 
 
-def dense_worst_case_clearance(initial, commands, cloud_world, dt, cap):
-    """Every (rollout pose, cloud point) pair at once: the exactness reference."""
+def dense_worst_case_clearance(initial, commands, cloud_world, dt, cap, index=None):
+    """Every (rollout pose, cloud point) pair at once: the exactness reference.
+
+    It takes the index argument of worst_case_clearance and ignores it, so it can
+    stand in for the indexed calls too."""
     commands = np.asarray(commands, dtype=float)
     n = commands.shape[0]
     cloud_world = np.asarray(cloud_world, dtype=float).reshape(-1, 2)
@@ -304,6 +309,32 @@ class TestWorstCaseClearanceExact:
         assert out.shape == (n,) and np.isfinite(out).all()
         assert peak < 32 * 2**20
 
+    @pytest.mark.parametrize("kind", ["random", "ring"])
+    def test_index_memory_bounded(self, kind):
+        # as above, through an index: "ring" keeps every pose of every row, and
+        # each is refined against every point, since all are equidistant from it
+        rng = np.random.default_rng(0)
+        n, horizon, n_points = 2048, 50, 300
+        state = RobotState(0.0, 0.0, 0.0)
+        if kind == "random":
+            commands = np.stack(
+                [rng.uniform(0, 1, (n, horizon)), rng.uniform(-1, 1, (n, horizon))], axis=2
+            )
+            cloud = rng.uniform(-4, 4, (n_points, 2))
+        else:
+            commands = np.zeros((n, horizon, 2))
+            ang = np.linspace(-math.pi, math.pi, n_points, endpoint=False)
+            cloud = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        tracemalloc.start()
+        try:
+            index = ClearanceIndex(state, cloud)
+            out = worst_case_clearance(state, commands, cloud, 0.1, 5.0, index)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out[:8], dense_worst_case_clearance(state, commands[:8], cloud, 0.1, 5.0))
+        assert peak < 32 * 2**20
+
     @pytest.mark.parametrize("shape", [(4, 50), (4, 50, 3), (50, 2)])
     def test_rejects_bad_command_shape(self, shape):
         with pytest.raises(ValueError, match=r"\(n, H, 2\)"):
@@ -325,6 +356,123 @@ class TestWorstCaseClearanceExact:
             worst_case_clearance(
                 RobotState(np.nan, 0, 0), np.zeros((2, 10, 2)), np.ones((3, 2)), 0.1, 5.0
             )
+
+
+def indexed(state, commands, cloud):
+    return worst_case_clearance(state, commands, cloud, 0.1, 5.0, ClearanceIndex(state, cloud))
+
+
+def random_commands(rng, n, horizon, v_max=1.0):
+    return np.stack([rng.uniform(0, v_max, (n, horizon)), rng.uniform(-1, 1, (n, horizon))], axis=2)
+
+
+class TestClearanceIndex:
+    """worst_case_clearance through a ClearanceIndex against the dense evaluation, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(clearance_cases())
+    def test_equals_dense_reference(self, case):
+        state, commands, cloud = case
+        assert np.array_equal(indexed(state, commands, cloud),
+                              dense_worst_case_clearance(state, commands, cloud, 0.1, 5.0))
+
+    def test_empty_cloud_returns_cap(self, rng):
+        state = RobotState(0.3, -0.2, 0.1)
+        got = indexed(state, random_commands(rng, 4, 20), np.empty((0, 2)))
+        assert np.array_equal(got, np.full(4, 5.0))
+
+    @pytest.mark.parametrize(
+        "cloud",
+        [
+            np.array([[1.0, 0.5]]),  # a single point
+            np.array([[0.1, -0.2], [1.0, 0.5], [-0.7, 0.3]]),  # the start is a cloud point
+            np.random.default_rng(5).normal([1.5, 0.4], 0.05, (200, 2)),  # one tight cluster
+            np.random.default_rng(6).normal([[1.0, 1.0], [-2.0, 0.5], [0.5, -1.5]], 0.1, (60, 3, 2))
+            .reshape(-1, 2),  # three clusters
+            np.stack([0.1 + 1.2 * np.cos(np.linspace(0, 6.2, 150)),
+                      -0.2 + 1.2 * np.sin(np.linspace(0, 6.2, 150))], axis=1),  # ring about the start
+            np.stack([np.linspace(-12, 12, 400), np.full(400, 2.5)], axis=1),  # a wall past the grid
+        ],
+    )
+    def test_named_clouds(self, cloud, rng):
+        state = RobotState(0.1, -0.2, 0.4)
+        for commands in (random_commands(rng, 24, 50), np.zeros((3, 50, 2)), random_commands(rng, 5, 1)):
+            assert np.array_equal(indexed(state, commands, cloud),
+                                  dense_worst_case_clearance(state, commands, cloud, 0.1, 5.0))
+
+    def test_commands_leave_the_grid(self, rng):
+        # 150 steps at up to 1 m/s run past the grid's reach and past every place
+        # within d0 of the cloud; the second cloud spans more than the grid
+        state = RobotState(0.0, 0.0, 0.0)
+        commands = random_commands(rng, 64, 150)
+        commands[:8, :, 0] = 1.0
+        commands[:8, :, 1] = 0.0
+        for cloud in (rng.uniform(-1.5, 1.5, (80, 2)) + [0.0, 1.0], rng.uniform(-15, 15, (300, 2))):
+            assert np.array_equal(indexed(state, commands, cloud),
+                                  dense_worst_case_clearance(state, commands, cloud, 0.1, 5.0))
+
+    def test_start_on_cell_edges(self):
+        # the start lies on a cloud point (d0 = 0) within a few ulps of a whole
+        # number of cells from the cloud's corner, where the grid has its origin:
+        # rounding can put the start in a neighbouring cell, just past its edge
+        rng = np.random.default_rng(9)
+        zero = np.zeros((2, 4, 2))
+        for _ in range(400):
+            corner = rng.uniform(-10, 10, 2)
+            edge = corner + rng.integers(1, 60, 2) * clearnav.model._CELL
+            start = edge + rng.integers(-3, 4, 2) * np.spacing(edge)
+            state = RobotState(start[0], start[1], rng.uniform(-math.pi, math.pi))
+            assert np.array_equal(indexed(state, zero, np.array([start, corner])), np.zeros(2))
+
+    def test_start_outside_the_arena(self):
+        # a robot past the arena's wall: the wall gives a range-0 hit at its own
+        # position, so the start is a cloud point and every rollout's clearance is 0
+        world = World((Box(4.0, 3.0, 5.0, 4.0),), (0.0, 0.0, 10.0, 8.0), RobotState(1, 1, 0), (9, 4))
+        state = RobotState(5.1, -0.06, -math.pi / 2)
+        sensor = SensorConfig(fov=math.radians(69.0), n_rays=120, max_range=5.0)
+        cloud = np.unique(body_to_world(raycast_scan(state, world, sensor), state), axis=0)
+        assert (np.hypot(*(cloud - state.position).T) < 1e-12).any()
+        commands = random_commands(np.random.default_rng(3), 32, 50)
+        got = indexed(state, commands, cloud)
+        assert np.array_equal(got, dense_worst_case_clearance(state, commands, cloud, 0.1, 5.0))
+
+    def test_rejects_nonfinite_cloud(self):
+        with pytest.raises(ValueError, match="cloud_world"):
+            ClearanceIndex(RobotState(0, 0, 0), np.array([[1.0, 0.0], [np.inf, 2.0]]))
+
+    def test_rejects_nonfinite_start(self):
+        with pytest.raises(ValueError, match="initial state"):
+            ClearanceIndex(RobotState(0, np.nan, 0), np.ones((3, 2)))
+
+    def test_rejects_another_start(self):
+        cloud = np.array([[1.0, 0.0], [0.0, 2.0]])
+        index = ClearanceIndex(RobotState(0.0, 0.0, 0.0), cloud)
+        for other in (RobotState(0.0, 0.5, 0.0), RobotState(1e-12, 0.0, 0.0)):
+            with pytest.raises(ValueError, match="initial state"):
+                worst_case_clearance(other, np.zeros((2, 5, 2)), cloud, 0.1, 5.0, index)
+        # d0 depends on the start position only: another heading keeps the index valid
+        turned = RobotState(0.0, 0.0, 1.0, 0.5, -0.2)
+        commands = random_commands(np.random.default_rng(2), 6, 30)
+        assert np.array_equal(worst_case_clearance(turned, commands, cloud, 0.1, 5.0, index),
+                              dense_worst_case_clearance(turned, commands, cloud, 0.1, 5.0))
+
+    def test_rejects_another_cloud(self):
+        state = RobotState(0.0, 0.0, 0.0)
+        cloud = np.array([[1.0, 0.0], [0.0, 2.0]])
+        index = ClearanceIndex(state, cloud)
+        for other in (cloud[:1], cloud + 0.1, cloud[::-1]):
+            with pytest.raises(ValueError, match="not the cloud"):
+                worst_case_clearance(state, np.zeros((2, 5, 2)), other, 0.1, 5.0, index)
+
+    def test_cloud_compared_by_value(self):
+        state = RobotState(0.0, 0.0, 0.0)
+        cloud = np.array([[1.0, 0.0], [0.0, 2.0]])
+        index = ClearanceIndex(state, cloud)
+        cloud[0, 0] = 7.0  # the index keeps its own copy
+        with pytest.raises(ValueError, match="not the cloud"):
+            worst_case_clearance(state, np.zeros((2, 5, 2)), cloud, 0.1, 5.0, index)
+        got = worst_case_clearance(state, np.zeros((2, 5, 2)), [[1.0, 0.0], [0.0, 2.0]], 0.1, 5.0, index)
+        assert np.array_equal(got, np.ones(2))
 
 
 class TestCheckpoint:

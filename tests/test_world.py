@@ -270,6 +270,23 @@ class TestEstimatedScan:
         assert np.abs(vals).max() <= 0.3 + 1e-12
         assert np.abs(np.diff(vals)).max() < 0.05  # smooth across bearing
 
+    def test_bias_field_memo_matches_fresh_fields(self, monkeypatch):
+        # out of order, across epochs and back: each value equals a fresh field's
+        noise = NoiseModel(range_bias_scale=0.3, drift_timescale=10)
+        field = BiasField(noise, seed=42)
+        angles = np.linspace(-math.pi, math.pi, 200)
+        for t in (25, 3, 40, 3, 61, 0, 94, 29, 30, 31, 200, 5, 9, 10, 11, 25):
+            assert np.array_equal(field.values(angles, t), BiasField(noise, seed=42).values(angles, t))
+        assert not field._knots(7).flags.writeable
+        # the steps of one epoch draw its knots and the next epoch's once
+        drawn = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda s: drawn.append(s) or default_rng(s))
+        fresh = BiasField(noise, seed=3)
+        for t in range(50, 60):
+            fresh.values(angles, t)
+        assert drawn == [[3, 5], [3, 6]]
+
     def test_bias_drifts_over_time(self):
         noise = NoiseModel(range_bias_scale=0.3, drift_timescale=5)
         f = BiasField(noise, seed=3)
