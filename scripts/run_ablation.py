@@ -27,7 +27,6 @@ from clearnav.bench import (
     DESK_NOISE,
     EpisodeConfig,
     SuiteConfig,
-    model_from_checkpoint,
     run_benchmark,
     suite_worlds,
 )
@@ -81,7 +80,6 @@ def main() -> int:
             f"median_sigma={last.median_sigma:.4f}"
         )
 
-    models = {k: model_from_checkpoint(p) for k, p in paths.items()}
     t0 = time.time()
     report = run_benchmark(
         ["augmented", "baseline_nll", "det", "raw_costmap", "oracle"],
@@ -90,7 +88,6 @@ def main() -> int:
         sensor,
         BENCH_PLANNER,
         EpisodeConfig(),
-        models=models,
         workers=args.workers,
         model_paths=paths,
     )

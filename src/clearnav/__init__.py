@@ -6,14 +6,7 @@ its predictions into collision risk; a sampling-based MPC planner minimizes
 goal cost plus risk; a benchmark harness compares training variants.
 """
 
-from .dynamics import (
-    ControlSequence,
-    RobotState,
-    Trajectory,
-    clip_command_batch,
-    rollout,
-    sample_controls,
-)
+from .dynamics import RobotState, clip_command_batch, sample_controls
 from .world import (
     BiasField,
     Box,
@@ -51,7 +44,7 @@ from .training import (
     loss_and_grad,
     train,
 )
-from .planner import PlannerConfig, PlanResult, PlanningError, mpc_step, plan, state_cost
+from .planner import PlannerConfig, PlanResult, PlanningError, mpc_step, plan
 from .bench import (
     DESK_NOISE,
     METHODS,

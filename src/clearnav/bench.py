@@ -48,7 +48,6 @@ from .world import (
     World,
     body_to_world,
     raycast_scan,
-    sensor_from_dict,
     sensor_to_dict,
     true_clearance,
     world_from_dict,
@@ -56,6 +55,8 @@ from .world import (
 )
 
 METHODS = ("augmented", "baseline_nll", "det", "raw_costmap", "oracle")
+# learned method -> the model it plans with (the key of its checkpoint)
+_MODEL_OF = {"augmented": "augmented", "baseline_nll": "baseline_nll", "det": "augmented"}
 
 # noise calibrated to reproduce the qualitative failure driver: a systematic,
 # placement-dependent range offset large enough to defeat direct costmap checks
@@ -87,6 +88,10 @@ class EpisodeConfig:
     oracle_sigma: float = 0.05
     det_sigma: float = 1e-6
     costmap_inflation: float = 0.4  # fixed inflation for the raw-costmap baseline
+
+    def __post_init__(self):
+        if self.exec_horizon < 1:
+            raise ValueError("exec_horizon must be >= 1")
 
 
 @dataclass(eq=False)
@@ -237,8 +242,8 @@ def make_predictor_factory(
     models: dict[str, LearnedModel] | None,
 ):
     models = models or {}
-    if method in ("augmented", "baseline_nll", "det"):
-        model = models["baseline_nll" if method == "baseline_nll" else "augmented"]
+    if method in _MODEL_OF:
+        model = models[_MODEL_OF[method]]
         if model.params.horizon != cfg.horizon:
             raise ValueError(
                 f"{method}: model horizon {model.params.horizon} does not match "
@@ -469,17 +474,21 @@ def _one_blas_thread_env():
                 os.environ[k] = v
 
 
-def _load_worker_models(model_paths: dict[str, str] | None) -> None:
+def _load_models(model_paths: dict[str, str]) -> dict[str, LearnedModel]:
+    return {k: model_from_checkpoint(p) for k, p in model_paths.items()}
+
+
+def _load_worker_models(model_paths: dict[str, str]) -> None:
     """Pool initializer: load each checkpoint once for the life of the worker process."""
     global _worker_models
-    _worker_models = {k: model_from_checkpoint(p) for k, p in (model_paths or {}).items()}
+    _worker_models = _load_models(model_paths)
 
 
-def _episode_job(args):
-    world_dict, method, seed, sensor_dict, planner_cfg, episode_cfg = args
-    sensor = sensor_from_dict(sensor_dict)
-    world = world_from_dict(world_dict)
-    out = run_episode(world, method, seed, sensor, planner_cfg, episode_cfg, _worker_models)
+def _episode_job(args, models: dict[str, LearnedModel] | None = None):
+    """Run one benchmark episode and summarize it; a pool worker plans with its own models."""
+    world, method, seed, sensor, planner_cfg, episode_cfg = args
+    out = run_episode(world, method, seed, sensor, planner_cfg, episode_cfg,
+                      _worker_models if models is None else models)
     return _summarize(out)
 
 
@@ -506,7 +515,6 @@ def run_benchmark(
     sensor: SensorConfig,
     planner_cfg: PlannerConfig,
     episode_cfg: EpisodeConfig | None = None,
-    models: dict[str, LearnedModel] | None = None,
     suite: SuiteConfig | None = None,
     workers: int = 1,
     model_paths: dict[str, str] | None = None,
@@ -515,15 +523,18 @@ def run_benchmark(
 
     Episode e of every method shares world e and the episode seed [seed, e],
     so methods face identical scenarios. Results are deterministic for a given
-    (seed, config) regardless of worker count. Each worker process loads the
-    checkpoints in `model_paths` once, so workers > 1 with a learned method needs it.
-    Workers are spawned with BLAS pinned to one thread.
+    (seed, config) regardless of worker count. `model_paths` maps "augmented"
+    and "baseline_nll" to the checkpoints of the learned methods; the process
+    running the episodes, or each of the `workers` > 1 processes spawned with
+    BLAS pinned to one thread, loads them once.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    needs_models = any(m in ("augmented", "baseline_nll", "det") for m in methods)
-    if workers > 1 and needs_models and model_paths is None:
-        raise ValueError("workers > 1 with a learned method needs model_paths (checkpoint files)")
+    model_paths = model_paths or {}
+    for method in methods:
+        needed = _MODEL_OF.get(method)
+        if needed is not None and needed not in model_paths:
+            raise ValueError(f"method {method!r} needs a {needed!r} checkpoint in model_paths")
     ep = episode_cfg or EpisodeConfig()
     worlds = suite_worlds(episodes, seed, suite)
     cfg_payload = {
@@ -535,32 +546,23 @@ def run_benchmark(
         "episode": asdict(ep),
         "suite": asdict(suite or SuiteConfig()),
     }
-    outcomes: dict[str, list[dict]] = {}
-    jobs = []
-    for method in methods:
-        for e, world in enumerate(worlds):
-            jobs.append((method, e, world))
+    jobs = [(world, method, _episode_seed(seed, e), sensor, planner_cfg, ep)
+            for method in methods for e, world in enumerate(worlds)]
+    # loaded here on either path, so a checkpoint that does not load fails before any worker starts
+    models = _load_models(model_paths)
     if workers > 1:
-        arglist = [
-            (world_to_dict(w), m, _episode_seed(seed, e), sensor_to_dict(sensor), planner_cfg, ep)
-            for (m, e, w) in jobs
-        ]
         # spawned workers load numpy afresh with one BLAS thread each, so that
         # `workers` processes do not oversubscribe the cores with BLAS threads
         with _one_blas_thread_env(), ProcessPoolExecutor(
             max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
             initializer=_load_worker_models, initargs=(model_paths,),
         ) as pool:
-            results = list(pool.map(_episode_job, arglist))
+            results = list(pool.map(_episode_job, jobs))
     else:
-        results = [
-            _summarize(
-                run_episode(w, m, _episode_seed(seed, e), sensor, planner_cfg, ep, models)
-            )
-            for (m, e, w) in jobs
-        ]
-    for (method, e, _), res in zip(jobs, results):
-        outcomes.setdefault(method, []).append(res)
+        results = [_episode_job(job, models) for job in jobs]
+    outcomes: dict[str, list[dict]] = {}
+    for res in results:
+        outcomes.setdefault(res["method"], []).append(res)
 
     stats = {}
     for method in methods:

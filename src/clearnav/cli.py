@@ -111,7 +111,6 @@ def cmd_bench(args) -> int:
         model_paths["augmented"] = args.checkpoint
     if args.baseline_checkpoint:
         model_paths["baseline_nll"] = args.baseline_checkpoint
-    models = {k: model_from_checkpoint(p) for k, p in model_paths.items()}
     report = run_benchmark(
         methods,
         args.episodes,
@@ -119,9 +118,8 @@ def cmd_bench(args) -> int:
         sensor,
         _planner_from_json(args.planner_config),
         EpisodeConfig(),
-        models=models,
         workers=args.workers,
-        model_paths=model_paths or None,
+        model_paths=model_paths,
     )
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "report.json")

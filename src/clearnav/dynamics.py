@@ -1,4 +1,4 @@
-"""Unicycle kinematics, command sampling and clamping, trajectory rollout."""
+"""Unicycle kinematics, command sampling and clamping, batched trajectory rollout."""
 from __future__ import annotations
 
 import math
@@ -10,7 +10,6 @@ V_MIN = 0.0
 V_MAX = 1.0
 OMEGA_MAX = 1.0
 DEFAULT_HORIZON = 50
-DEFAULT_DT = 0.1
 _COMMAND_BOUNDS = np.array([[V_MIN, -OMEGA_MAX], [V_MAX, OMEGA_MAX]])  # rows low, high; columns v, omega
 
 
@@ -36,40 +35,6 @@ class RobotState:
         return np.array([self.x, self.y, self.psi, self.v, self.omega])
 
 
-@dataclass(frozen=True, eq=False)
-class ControlSequence:
-    """Fixed-horizon array of (v, omega) commands applied at interval dt."""
-
-    commands: np.ndarray  # (H, 2) columns [v, omega]
-    dt: float = DEFAULT_DT
-
-    def __post_init__(self):
-        cmd = np.asarray(self.commands, dtype=float)
-        if cmd.ndim != 2 or cmd.shape[1] != 2:
-            raise ValueError(f"commands must be (H, 2), got {cmd.shape}")
-        object.__setattr__(self, "commands", cmd)
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-
-    @property
-    def horizon(self) -> int:
-        return self.commands.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Rollout result: (H+1, 5) rows of (x, y, psi, v, omega), row 0 = initial state."""
-
-    states: np.ndarray
-
-    @property
-    def xy(self) -> np.ndarray:
-        return self.states[:, :2]
-
-    def __len__(self) -> int:
-        return self.states.shape[0]
-
-
 def step(state: RobotState, v: float, w: float, dt: float) -> RobotState:
     """One unicycle update:
 
@@ -84,21 +49,6 @@ def step(state: RobotState, v: float, w: float, dt: float) -> RobotState:
         v,
         w,
     )
-
-
-def rollout(initial: RobotState, u: ControlSequence) -> Trajectory:
-    """Integrate the unicycle update for every command in u.
-
-    The v/omega columns of state k+1 carry the command applied at step k.
-    """
-    h = u.horizon
-    states = np.empty((h + 1, 5))
-    states[0] = initial.as_array()
-    s = initial
-    for k in range(h):
-        s = step(s, u.commands[k, 0], u.commands[k, 1], u.dt)
-        states[k + 1] = (s.x, s.y, s.psi, s.v, s.omega)
-    return Trajectory(states)
 
 
 def rollout_batch(initial: RobotState, commands: np.ndarray, dt: float) -> np.ndarray:

@@ -15,15 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import (
-    ControlSequence,
-    RobotState,
-    Trajectory,
-    clip_command_batch,
-    rollout,
-    rollout_batch,
-    step,
-)
+from .dynamics import RobotState, clip_command_batch, rollout_batch, step
 from .risk import draw_dirac_samples, mmd_batch, residual
 from .world import BiasField, SensorConfig, World, estimated_scan, standardize_cloud
 
@@ -71,6 +63,10 @@ class PlannerConfig:
             raise ValueError("smoothing must be in (0, 1]")
         if not 0.0 <= self.noise_correlation <= 1.0:
             raise ValueError("noise_correlation must be in [0, 1]")
+        if self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
+        if not self.dt > 0:
+            raise ValueError("dt must be > 0")
 
 
 @dataclass
@@ -83,8 +79,7 @@ class IterationStats:
 
 @dataclass(eq=False)
 class PlanResult:
-    controls: ControlSequence
-    trajectory: Trajectory
+    commands: np.ndarray  # (H, 2) best command sequence, columns [v, omega]
     cost: float
     state_cost: float
     risk: float
@@ -94,13 +89,6 @@ class PlanResult:
     lam: float
     nu: np.ndarray  # final sampling mean, for warm starts
     iterations: list[IterationStats] = field(default_factory=list)
-
-
-def state_cost(traj, goal) -> float:
-    """Sum of squared distances of every trajectory point to the goal."""
-    xy = traj.xy if isinstance(traj, Trajectory) else np.asarray(traj)[..., :2]
-    d = xy - np.asarray(goal, dtype=float)
-    return float((d * d).sum())
 
 
 def initial_distribution(cfg: PlannerConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -208,10 +196,8 @@ def plan(
             )
 
     total, u_best, (sc, rk, ef), (bmu, bsig, blam) = best
-    controls = ControlSequence(u_best.reshape(cfg.horizon, 2), cfg.dt)
     return PlanResult(
-        controls=controls,
-        trajectory=rollout(state, controls),
+        commands=u_best.reshape(cfg.horizon, 2),
         cost=total,
         state_cost=sc,
         risk=rk,
@@ -264,7 +250,7 @@ def mpc_step(
     executed: list[RobotState] = []
     s = sim.state
     for k in range(min(exec_horizon, cfg.horizon)):
-        s = step(s, result.controls.commands[k, 0], result.controls.commands[k, 1], cfg.dt)
+        s = step(s, result.commands[k, 0], result.commands[k, 1], cfg.dt)
         executed.append(s)
     sim.state = s
     sim.t += len(executed)

@@ -62,6 +62,12 @@ class TrainConfig:
             raise ValueError("risk_samples must be >= 2")
         if self.d_o <= 0:
             raise ValueError("d_o must be positive")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if not 0.0 <= self.holdout_fraction < 1.0:
+            raise ValueError("holdout_fraction must be in [0, 1)")
 
 
 # ---------------------------------------------------------------------------

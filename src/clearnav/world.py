@@ -39,9 +39,6 @@ class Circle:
         """Distance from p to the boundary; 0 if p is inside."""
         return max(0.0, math.hypot(p[0] - self.cx, p[1] - self.cy) - self.radius)
 
-    def contains(self, p: np.ndarray) -> bool:
-        return math.hypot(p[0] - self.cx, p[1] - self.cy) <= self.radius
-
 
 @dataclass(frozen=True)
 class Box:
@@ -58,9 +55,6 @@ class Box:
         dx = max(self.xmin - p[0], 0.0, p[0] - self.xmax)
         dy = max(self.ymin - p[1], 0.0, p[1] - self.ymax)
         return math.hypot(dx, dy)
-
-    def contains(self, p: np.ndarray) -> bool:
-        return self.xmin <= p[0] <= self.xmax and self.ymin <= p[1] <= self.ymax
 
 
 Obstacle = Circle | Box

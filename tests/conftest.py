@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from clearnav.dynamics import RobotState
+from clearnav.dynamics import RobotState, step
 from clearnav.world import Box, Circle, NoiseModel, SensorConfig, World
 
 
@@ -40,3 +40,17 @@ def quiet_sensor() -> SensorConfig:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def step_chain():
+    """Reference rollout independent of rollout_batch: chain dynamics.step over
+    (H, 2) commands from a RobotState and return the (H+1, 5) states."""
+
+    def chain(initial: RobotState, commands, dt: float) -> np.ndarray:
+        states = [initial]
+        for v, w in np.asarray(commands, dtype=float):
+            states.append(step(states[-1], v, w, dt))
+        return np.array([s.as_array() for s in states])
+
+    return chain

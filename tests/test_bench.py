@@ -42,7 +42,6 @@ from clearnav.world import (
     World,
     body_to_world,
     raycast_scan,
-    sensor_to_dict,
     standardize_cloud,
     true_clearance,
     world_to_dict,
@@ -87,8 +86,6 @@ class TestClutterWorlds:
     def test_suite_deterministic(self):
         a = suite_worlds(3, seed=5)
         b = suite_worlds(3, seed=5)
-        from clearnav.world import world_to_dict
-
         assert [world_to_dict(w) for w in a] == [world_to_dict(w) for w in b]
 
 
@@ -139,6 +136,11 @@ class TestRunEpisode:
         assert len(calls) == out.trace["t"].size
         assert np.array_equal(out.trace["true_clearance"],
                               [min(true_clearance(p, world), 5.0) for p in calls])
+
+    def test_config_rejects_exec_horizon_below_one(self):
+        # exec_horizon 0 executes no command per MPC step, so the episode never ends
+        with pytest.raises(ValueError, match="exec_horizon"):
+            EpisodeConfig(exec_horizon=0)
 
     def test_invalid_method(self):
         world = make_clutter_world(np.random.default_rng(0))
@@ -202,17 +204,35 @@ class TestBenchmark:
         assert 0 <= stats["collision_pct"] <= 100
         assert a.episodes == 2 and len(a.outcomes["oracle"]) == 2
 
-    def test_pool_without_model_paths_rejected(self, monkeypatch):
-        # worker processes can only load learned models from checkpoint files
+    @pytest.mark.parametrize("method, needed", [("augmented", "augmented"), ("det", "augmented"),
+                                                ("baseline_nll", "baseline_nll")])
+    def test_missing_checkpoint_rejected(self, monkeypatch, tmp_path, method, needed):
+        # the learned method and the checkpoint it lacks are named before any episode runs
         def no_episode(*args, **kwargs):
             raise AssertionError("an episode ran")
 
         monkeypatch.setattr("clearnav.bench.run_episode", no_episode)
-        model = LearnedModel(ModelParams.init(np.random.default_rng(0), 34, 50, 8), None,
-                             PolarFeaturizer(1.2, 5.0, 32))
-        with pytest.raises(ValueError, match="model_paths"):
-            run_benchmark(["augmented"], 1, 0, quiet(), fast_planner(), models={"augmented": model},
-                          workers=2)
+        other = "baseline_nll" if needed == "augmented" else "augmented"
+        paths = {other: str(tmp_path / "unused.npz")}
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match=f"{method!r} needs a {needed!r} checkpoint"):
+                run_benchmark(["oracle", method], 1, 0, quiet(), fast_planner(), workers=workers,
+                              model_paths=paths)
+
+    def test_learned_methods_same_report_for_any_worker_count(self, tmp_path):
+        rng = np.random.default_rng(3)
+        paths = {}
+        for name in ("augmented", "baseline_nll"):
+            paths[name] = str(tmp_path / f"{name}.npz")
+            save_checkpoint(paths[name], ModelParams.init(rng, 34, 50, 8), None,
+                            {"fov": 1.2, "max_range": 5.0, "n_sectors": 32})
+        cfg = fast_planner(iterations=2, samples=32, risk_elites=8, elites=4)
+        ep = EpisodeConfig(timeout_s=1.0)
+        methods = ["augmented", "baseline_nll", "det"]
+        a = run_benchmark(methods, 2, 4, quiet(), cfg, ep, workers=1, model_paths=paths)
+        b = run_benchmark(methods, 2, 4, quiet(), cfg, ep, workers=2, model_paths=paths)
+        assert a.to_json() == b.to_json()
+        assert all(len(a.outcomes[m]) == 2 for m in methods)
 
     def test_worker_loads_each_checkpoint_once(self, monkeypatch, tmp_path):
         paths = {}
@@ -234,10 +254,9 @@ class TestBenchmark:
         monkeypatch.setattr(bench, "model_from_checkpoint", counting_load)
         monkeypatch.setattr(bench, "run_episode", fake_episode)
         bench._load_worker_models(paths)
-        world = world_to_dict(make_clutter_world(np.random.default_rng(0)))
+        world = make_clutter_world(np.random.default_rng(0))
         for method in ("augmented", "baseline_nll"):
-            bench._episode_job((world, method, 0, sensor_to_dict(quiet()), fast_planner(),
-                                EpisodeConfig()))
+            bench._episode_job((world, method, 0, quiet(), fast_planner(), EpisodeConfig()))
         assert sorted(loads) == sorted(paths.values())
         assert len(seen) == 2 and all(set(m) == set(paths) for m in seen)
 

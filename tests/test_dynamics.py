@@ -7,14 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clearnav.dynamics import (
-    ControlSequence,
-    RobotState,
-    clip_command_batch,
-    rollout,
-    rollout_batch,
-    sample_controls,
-)
+from clearnav.dynamics import RobotState, clip_command_batch, rollout_batch, sample_controls
 
 
 def within_bounds(commands) -> bool:
@@ -23,65 +16,63 @@ def within_bounds(commands) -> bool:
     return bool(((pairs[:, 0] >= 0) & (pairs[:, 0] <= 1) & (np.abs(pairs[:, 1]) <= 1)).all())
 
 
+def rollout_one(initial: RobotState, commands, dt: float = 0.1) -> np.ndarray:
+    """rollout_batch on a single (H, 2) sequence: its (H+1, 3) poses."""
+    return rollout_batch(initial, np.asarray(commands)[None], dt)[0]
+
+
 class TestRollout:
     def test_straight_line_step(self):
-        u = ControlSequence(np.array([[1.0, 0.0]]), dt=0.1)
-        traj = rollout(RobotState(0, 0, 0), u)
-        assert traj.states[1][:3] == pytest.approx([0.1, 0.0, 0.0])
+        poses = rollout_one(RobotState(0, 0, 0), [[1.0, 0.0]])
+        assert poses[1] == pytest.approx([0.1, 0.0, 0.0])
 
     def test_zero_velocity_fixed_point(self):
-        u = ControlSequence(np.zeros((50, 2)), dt=0.1)
         start = RobotState(1.0, 2.0, 0.7)
-        traj = rollout(start, u)
-        assert np.allclose(traj.xy, [1.0, 2.0])
-        assert np.allclose(traj.states[:, 2], 0.7)
+        poses = rollout_one(start, np.zeros((50, 2)))
+        assert np.allclose(poses[:, :2], [1.0, 2.0])
+        assert np.allclose(poses[:, 2], 0.7)
 
     def test_against_independent_recomputation(self, rng):
         # oracle: step-by-step recomputation with plain python floats
         cmds = rng.uniform(-1, 1, (50, 2))
         cmds[:, 0] = np.clip(cmds[:, 0], 0, 1)
-        u = ControlSequence(cmds, dt=0.1)
         start = RobotState(0.3, -0.2, 0.5)
-        traj = rollout(start, u)
+        poses = rollout_one(start, cmds)
         x, y, psi = 0.3, -0.2, 0.5
         for k in range(50):
             v, w = float(cmds[k, 0]), float(cmds[k, 1])
             x += v * math.cos(psi) * 0.1
             y += v * math.sin(psi) * 0.1
             psi += w * 0.1
-            assert abs(traj.states[k + 1, 0] - x) < 1e-12
-            assert abs(traj.states[k + 1, 1] - y) < 1e-12
-            assert abs(traj.states[k + 1, 2] - psi) < 1e-12
+            assert abs(poses[k + 1, 0] - x) < 1e-12
+            assert abs(poses[k + 1, 1] - y) < 1e-12
+            assert abs(poses[k + 1, 2] - psi) < 1e-12
 
     def test_heading_closed_form(self, rng):
         cmds = rng.uniform(-1, 1, (50, 2))
         cmds[:, 0] = np.clip(cmds[:, 0], 0, 1)
-        u = ControlSequence(cmds, dt=0.1)
-        traj = rollout(RobotState(0, 0, 0.25), u)
+        poses = rollout_one(RobotState(0, 0, 0.25), cmds)
         for k in range(51):
-            assert traj.states[k, 2] == pytest.approx(0.25 + 0.1 * cmds[:k, 1].sum(), abs=1e-12)
+            assert poses[k, 2] == pytest.approx(0.25 + 0.1 * cmds[:k, 1].sum(), abs=1e-12)
 
     def test_step_distance_bounded(self, rng):
-        for commands in sample_controls(rng, 5):
-            traj = rollout(RobotState(0, 0, 0), ControlSequence(commands))
-            steps = np.hypot(*np.diff(traj.xy, axis=0).T)
+        for poses in rollout_batch(RobotState(0, 0, 0), sample_controls(rng, 5), 0.1):
+            steps = np.hypot(*np.diff(poses[:, :2], axis=0).T)
             assert steps.max() <= 0.1 + 1e-12
 
     def test_deterministic_bitwise(self, rng):
         cmds = rng.uniform(0, 1, (50, 2))
-        u = ControlSequence(cmds, dt=0.1)
-        a = rollout(RobotState(0.1, 0.2, 0.3), u)
-        b = rollout(RobotState(0.1, 0.2, 0.3), u)
-        assert np.array_equal(a.states, b.states)
+        a = rollout_one(RobotState(0.1, 0.2, 0.3), cmds)
+        b = rollout_one(RobotState(0.1, 0.2, 0.3), cmds)
+        assert np.array_equal(a, b)
 
-    def test_batch_matches_scalar(self, rng):
+    def test_batch_matches_scalar(self, rng, step_chain):
         cmds = rng.uniform(-1, 1, (8, 50, 2))
         cmds[:, :, 0] = np.clip(cmds[:, :, 0], 0, 1)
         start = RobotState(0.5, -1.0, 2.0)
         poses = rollout_batch(start, cmds, 0.1)
         for i in range(8):
-            traj = rollout(start, ControlSequence(cmds[i], 0.1))
-            assert np.allclose(poses[i], traj.states[:, :3], atol=1e-12)
+            assert np.allclose(poses[i], step_chain(start, cmds[i], 0.1)[:, :3], atol=1e-12)
 
 
 class TestSampleControls:
@@ -123,9 +114,3 @@ class TestClipControls:
         assert within_bounds(clipped)
         assert np.array_equal(raw, np.array(rows).reshape(1, -1))  # input left unchanged
 
-
-def test_control_sequence_validation():
-    with pytest.raises(ValueError):
-        ControlSequence(np.zeros((5, 3)))
-    with pytest.raises(ValueError):
-        ControlSequence(np.zeros((5, 2)), dt=0.0)

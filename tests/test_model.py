@@ -12,7 +12,7 @@ import clearnav.data
 import clearnav.model
 from clearnav.bench import EpisodeConfig, make_clutter_world, oracle_factory, run_episode
 from clearnav.data import generate_dataset
-from clearnav.dynamics import ControlSequence, RobotState, rollout_batch, sample_controls
+from clearnav.dynamics import RobotState, rollout_batch, sample_controls
 from clearnav.model import (
     LAMBDA_FLOOR,
     ClearanceIndex,
@@ -165,19 +165,16 @@ class TestWorstCaseClearance:
         d = worst_case_clearance(state, cmds, cloud, 0.1, 5.0)
         assert d[0] == pytest.approx(np.hypot(*(cloud - [0.5, 0.5]).T).min())
 
-    def test_exhaustive_double_loop(self, rng):
+    def test_exhaustive_double_loop(self, rng, step_chain):
         cloud = rng.uniform(-3, 3, (25, 2))
         cmds = rng.uniform(0, 1, (3, 20, 2))
         cmds[:, :, 1] = rng.uniform(-1, 1, (3, 20))
         state = RobotState(0, 0, 0)
         got = worst_case_clearance(state, cmds, cloud, 0.1, 5.0)
-        from clearnav.dynamics import rollout
-
         for i in range(3):
-            traj = rollout(state, ControlSequence(cmds[i], 0.1))
             brute = min(
                 math.hypot(px - cx, py - cy)
-                for px, py in traj.xy
+                for px, py in step_chain(state, cmds[i], 0.1)[:, :2]
                 for cx, cy in cloud
             )
             assert got[i] == pytest.approx(brute, abs=1e-9)

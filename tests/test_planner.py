@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from clearnav.bench import EpisodeConfig, oracle_factory
-from clearnav.dynamics import ControlSequence, RobotState, rollout, rollout_batch
+from clearnav.dynamics import RobotState, rollout_batch
 from clearnav.planner import (
     PlannerConfig,
     PlanningError,
@@ -13,7 +13,6 @@ from clearnav.planner import (
     mpc_step,
     plan,
     shift_warm_start,
-    state_cost,
 )
 from clearnav.world import NoiseModel, SensorConfig, World
 
@@ -31,32 +30,26 @@ def oracle_predictor(world, cfg, state=None, sigma=0.05):
 
 
 class TestStateCost:
-    def test_zero_at_goal(self):
-        traj = rollout(RobotState(3, 0, 0), ControlSequence(np.zeros((10, 2))))
-        assert state_cost(traj, (3.0, 0.0)) == 0.0
-
-    def test_single_step_arithmetic(self):
-        traj = rollout(RobotState(0, 0, 0), ControlSequence(np.zeros((1, 2))))
-        # two points, both at distance 2
-        assert state_cost(traj, (2.0, 0.0)) == pytest.approx(8.0)
-
-    def test_matches_per_point_summation(self, rng):
-        cmds = rng.uniform(0, 1, (50, 2))
-        cmds[:, 1] = rng.uniform(-1, 1, 50)
-        traj = rollout(RobotState(0, 0, 0), ControlSequence(cmds))
-        goal = (2.5, -1.0)
-        brute = sum((x - goal[0]) ** 2 + (y - goal[1]) ** 2 for x, y in traj.xy)
-        assert state_cost(traj, goal) == pytest.approx(brute, rel=1e-12)
+    def test_matches_per_point_summation(self, circle_world, step_chain):
+        # the breakdown belongs to the returned commands, not to another candidate:
+        # squared goal distance summed over every pose, the initial one included
+        cfg = fast_cfg()
+        pred = oracle_predictor(circle_world, cfg)
+        res = plan(circle_world.start, pred, circle_world.goal, cfg, np.random.default_rng(5))
+        gx, gy = circle_world.goal
+        brute = sum((x - gx) ** 2 + (y - gy) ** 2
+                    for x, y in step_chain(circle_world.start, res.commands, cfg.dt)[:, :2])
+        assert res.state_cost == pytest.approx(brute, rel=1e-9)
 
 
 class TestPlan:
-    def test_empty_world_reaches_goal(self, empty_world):
+    def test_empty_world_reaches_goal(self, empty_world, step_chain):
         cfg = PlannerConfig(iterations=20, samples=512, risk_elites=128, elites=32, seed=3)
         pred = oracle_predictor(empty_world, cfg)
         res = plan(empty_world.start, pred, empty_world.goal, cfg, np.random.default_rng(0))
-        end = res.trajectory.xy[-1]
+        end = step_chain(empty_world.start, res.commands, cfg.dt)[-1]
         assert np.hypot(end[0] - 3.0, end[1]) < 0.5
-        assert res.controls.commands[:, 0].mean() > 0.1
+        assert res.commands[:, 0].mean() > 0.1
 
     def test_effort_only_objective(self, empty_world):
         # 100-dim command box: the sampling distribution needs a few dozen
@@ -65,9 +58,9 @@ class TestPlan:
         pred = oracle_predictor(empty_world, cfg)
         res = plan(empty_world.start, pred, empty_world.goal, cfg, np.random.default_rng(1))
         assert res.effort == res.cost
-        assert np.abs(res.controls.commands).mean() < 0.1
+        assert np.abs(res.commands).mean() < 0.1
 
-    def test_single_obstacle_avoidance_rate(self, circle_world):
+    def test_single_obstacle_avoidance_rate(self, circle_world, step_chain):
         # judge with the exact clearance of the chosen trajectory
         from clearnav.world import true_clearance
 
@@ -78,7 +71,8 @@ class TestPlan:
             res = plan(
                 circle_world.start, pred, circle_world.goal, cfg, np.random.default_rng(seed)
             )
-            min_clear = min(true_clearance(p, circle_world) for p in res.trajectory.xy)
+            states = step_chain(circle_world.start, res.commands, cfg.dt)
+            min_clear = min(true_clearance(p, circle_world) for p in states[:, :2])
             hits += min_clear >= cfg.d_o
         assert hits >= 95
 
@@ -102,9 +96,6 @@ class TestPlan:
         pred = oracle_predictor(circle_world, cfg)
         res = plan(circle_world.start, pred, circle_world.goal, cfg, np.random.default_rng(5))
         assert len(rows) == cfg.iterations and max(rows) <= cfg.risk_elites
-        # the breakdown belongs to the returned controls, not to another candidate
-        want = state_cost(rollout(circle_world.start, res.controls), circle_world.goal)
-        assert res.state_cost == pytest.approx(want, rel=1e-9)
         total = cfg.w_state * res.state_cost + cfg.w_risk * res.risk + cfg.w_effort * res.effort
         assert res.cost == pytest.approx(total, rel=1e-12)
 
@@ -112,7 +103,8 @@ class TestPlan:
         cfg = fast_cfg()
         pred = oracle_predictor(circle_world, cfg)
         res = plan(circle_world.start, pred, circle_world.goal, cfg, rng)
-        v, w = res.controls.commands.T
+        assert res.commands.shape == (cfg.horizon, 2)
+        v, w = res.commands.T
         assert (v >= 0).all() and (v <= 1).all() and (np.abs(w) <= 1).all()
 
     def test_deterministic(self, circle_world):
@@ -120,7 +112,7 @@ class TestPlan:
         pred = oracle_predictor(circle_world, cfg)
         a = plan(circle_world.start, pred, circle_world.goal, cfg)
         b = plan(circle_world.start, pred, circle_world.goal, cfg)
-        assert np.array_equal(a.controls.commands, b.controls.commands)
+        assert np.array_equal(a.commands, b.commands)
         assert a.cost == b.cost and a.risk == b.risk
         assert [s.best_cost for s in a.iterations] == [s.best_cost for s in b.iterations]
 
@@ -160,6 +152,13 @@ class TestPlan:
             PlannerConfig(smoothing=0.0)
         with pytest.raises(ValueError):
             PlannerConfig(w_risk=-1.0)
+
+    @pytest.mark.parametrize("field, value", [("horizon", 0), ("horizon", -3), ("dt", 0.0),
+                                              ("dt", -0.1), ("dt", float("nan"))])
+    def test_config_rejects_bad_horizon_and_dt(self, field, value):
+        # horizon 0 would fail deep in plan's reshape; dt <= 0 has no meaning
+        with pytest.raises(ValueError, match=field):
+            PlannerConfig(**{field: value})
 
 
 class TestEliteSelection:

@@ -7,7 +7,7 @@ import pytest
 
 import clearnav.data
 from clearnav.data import ClearanceDataset, generate_dataset
-from clearnav.dynamics import ControlSequence, RobotState, rollout
+from clearnav.dynamics import RobotState
 from clearnav.model import ModelParams, RiskHeadParams, forward_batch
 from clearnav.planner import PlannerConfig, PlanningError, plan
 from clearnav.risk import draw_dirac_samples, mmd_batch, residual
@@ -61,7 +61,7 @@ class ZeroNormalRng:
 
 
 class TestGenerateDataset:
-    def test_straight_to_wall_against_double_loop(self):
+    def test_straight_to_wall_against_double_loop(self, step_chain):
         # single wall 2 m ahead; label must equal exhaustive (k, point) search
         world = World((Box(2.0, -3.0, 2.5, 3.0),), (-5, -5, 10, 5), RobotState(0, 0, 0), (5, 0))
         sensor = SensorConfig()
@@ -74,10 +74,8 @@ class TestGenerateDataset:
             if cloud_world.shape[0] == 0:
                 assert ds.clearance[i] == sensor.max_range  # nothing visible -> capped
                 continue
-            traj = rollout(state, ControlSequence(ds.controls[i], ds.dt))
-            brute = min(
-                math.hypot(px - cx, py - cy) for px, py in traj.xy for cx, cy in cloud_world
-            )
+            xy = step_chain(state, ds.controls[i], ds.dt)[:, :2]
+            brute = min(math.hypot(px - cx, py - cy) for px, py in xy for cx, cy in cloud_world)
             assert ds.clearance[i] == pytest.approx(brute, abs=1e-9)
 
     def test_zero_velocity_distance_to_nearest(self):
@@ -376,6 +374,16 @@ class TestTrain:
         with pytest.raises(TrainingDiverged, match="kernel width"):
             loss_and_grad(params, zero_risk_head(), np.zeros((3, 4)), np.full(3, 0.5),
                           np.ones(3, dtype=bool), noise, "augmented", cfg)
+
+    @pytest.mark.parametrize("field, value", [("epochs", 0), ("batch_size", 0),
+                                              ("holdout_fraction", -0.1), ("holdout_fraction", 1.0),
+                                              ("holdout_fraction", 1.5)])
+    def test_config_rejects_bad_loop_settings(self, field, value):
+        # epochs 0 logs no row, batch_size 0 breaks the batch loop, and a holdout
+        # fraction outside [0, 1) has no meaning
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+        TrainConfig(epochs=1, batch_size=1, holdout_fraction=0.0)  # the edges that stay valid
 
     def test_unknown_mode_rejected(self):
         ds = small_dataset()
