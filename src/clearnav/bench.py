@@ -10,7 +10,7 @@ raw_costmap : collision-checks rollouts directly against the noisy cloud with a
 oracle      : exact clearance against the true scan (planner upper bound)
 
 Suite worlds are procedurally cluttered boxes/cylinders with a guaranteed
-feasible corridor (grid BFS on an inflated occupancy raster), so a stuck
+feasible corridor (a flood fill on an inflated occupancy raster), so a stuck
 episode reflects planner failure rather than infeasibility.
 """
 from __future__ import annotations
@@ -21,7 +21,6 @@ import json
 import math
 import multiprocessing
 import os
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict, replace
@@ -38,7 +37,7 @@ from .model import (
     load_checkpoint,
     predict_batch,
 )
-from .planner import PlannerConfig, PlanResult, SimState, mpc_step
+from .planner import PlannerConfig, SimState, mpc_step
 from .world import (
     BiasField,
     Box,
@@ -57,6 +56,26 @@ from .world import (
 METHODS = ("augmented", "baseline_nll", "det", "raw_costmap", "oracle")
 # learned method -> the model it plans with (the key of its checkpoint)
 _MODEL_OF = {"augmented": "augmented", "baseline_nll": "baseline_nll", "det": "augmented"}
+
+
+class MissingCheckpointError(ValueError):
+    """A learned method lacks the model it plans with; `key` names that model."""
+
+    def __init__(self, method: str, key: str):
+        super().__init__(f"method {method!r} needs a {key!r} checkpoint")
+        self.key = key
+
+
+def _check_methods(methods, model_keys) -> None:
+    """Reject an unknown or repeated method, or a learned one whose model key is missing."""
+    for i, method in enumerate(methods):
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        if method in methods[:i]:
+            raise ValueError(f"method {method!r} is listed twice")
+        if method in _MODEL_OF and _MODEL_OF[method] not in model_keys:
+            raise MissingCheckpointError(method, _MODEL_OF[method])
+
 
 # noise calibrated to reproduce the qualitative failure driver: a systematic,
 # placement-dependent range offset large enough to defeat direct costmap checks
@@ -106,6 +125,7 @@ class EpisodeOutcome:
     seed: int
     method: str
     commands: np.ndarray  # (steps, 2) executed commands
+    dt: float  # sim seconds per command, as the replay steps them
 
 
 TRACE_FIELDS = ("t", "x", "y", "psi", "v", "omega", "mu", "sigma", "lam", "risk", "true_clearance")
@@ -242,6 +262,7 @@ def make_predictor_factory(
     models: dict[str, LearnedModel] | None,
 ):
     models = models or {}
+    _check_methods([method], models)
     if method in _MODEL_OF:
         model = models[_MODEL_OF[method]]
         if model.params.horizon != cfg.horizon:
@@ -253,9 +274,7 @@ def make_predictor_factory(
         return learned_factory(model, sigma_override=sigma_override), cfg
     if method == "raw_costmap":
         return costmap_factory(sensor, cfg, ep), replace(cfg, d_o=ep.costmap_inflation)
-    if method == "oracle":
-        return oracle_factory(world, sensor, cfg, ep), cfg
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    return oracle_factory(world, sensor, cfg, ep), cfg
 
 
 # ---------------------------------------------------------------------------
@@ -286,60 +305,37 @@ def run_episode(
     max_steps = int(round(ep.timeout_s / cfg.dt))
     window = int(round(ep.stuck_window_s / cfg.dt))
 
-    cols = {k: [] for k in TRACE_FIELDS}
-    commands: list[tuple[float, float]] = []
-
-    def record(state: RobotState, t_step: int, res: PlanResult, clearance: float):
-        cols["t"].append(t_step * cfg.dt)
-        cols["x"].append(state.x)
-        cols["y"].append(state.y)
-        cols["psi"].append(state.psi)
-        cols["v"].append(state.v)
-        cols["omega"].append(state.omega)
-        cols["mu"].append(res.mu)
-        cols["sigma"].append(res.sigma)
-        cols["lam"].append(res.lam)
-        cols["risk"].append(res.risk)
-        cols["true_clearance"].append(min(clearance, sensor.max_range))
-
+    # one row of TRACE_FIELDS per state: the start, then each executed state,
+    # whose v/omega are the command that produced it (see dynamics.step)
+    rows: list[tuple] = []
     result = None
-    positions = [world.start.position]
-    first = True
-    while True:
-        executed, plan_res = mpc_step(sim, world, sensor, factory, goal, cfg, ep.exec_horizon)
-        if first:
-            record(world.start, 0, plan_res, true_clearance(world.start.position, world))
-            first = False
-        for s in executed:
-            t_step = len(commands) + 1
-            commands.append((s.v, s.omega))
-            positions.append(s.position)
+    while result is None:
+        executed, res = mpc_step(sim, world, sensor, factory, goal, cfg, ep.exec_horizon)
+        for s in executed if rows else [world.start, *executed]:
             clearance = true_clearance(s.position, world)
-            record(s, t_step, plan_res, clearance)
+            rows.append((len(rows) * cfg.dt, s.x, s.y, s.psi, s.v, s.omega,
+                         res.mu, res.sigma, res.lam, res.risk, min(clearance, sensor.max_range)))
+            if len(rows) == 1:
+                continue  # the start state is recorded, not judged
             if clearance < d_robot:
                 result = "collided"
-                break
-            if np.hypot(s.x - goal[0], s.y - goal[1]) <= ep.goal_tolerance:
+            elif np.hypot(s.x - goal[0], s.y - goal[1]) <= ep.goal_tolerance:
                 result = "reached"
-                break
-            n = len(positions)
-            if n > window:
-                disp = np.hypot(*(positions[-1] - positions[-1 - window]))
-                if disp < ep.stuck_displacement:
-                    result = "stuck"
-                    break
-            if t_step >= max_steps:
+            # fields 1 and 2 of a row are x and y; compared with the state `window` commands ago
+            elif len(rows) > window and np.hypot(
+                s.x - rows[-1 - window][1], s.y - rows[-1 - window][2]
+            ) < ep.stuck_displacement:
+                result = "stuck"
+            elif len(rows) - 1 >= max_steps:
                 result = "timeout"
+            if result is not None:
                 break
-        if result is not None:
-            break
 
-    commands_arr = np.asarray(commands).reshape(-1, 2)
-    trace = {k: np.asarray(v) for k, v in cols.items()}
-    speeds = commands_arr[:, 0] if commands_arr.size else np.zeros(1)
+    trace = {k: np.asarray(col) for k, col in zip(TRACE_FIELDS, zip(*rows))}
+    speeds = trace["v"][1:]
     return EpisodeOutcome(
         result=result,
-        duration=len(commands) * cfg.dt,
+        duration=speeds.size * cfg.dt,
         trace=trace,
         avg_speed=float(speeds.mean()),
         max_speed=float(speeds.max()),
@@ -347,7 +343,8 @@ def run_episode(
         world=world,
         seed=seed,
         method=method,
-        commands=commands_arr,
+        commands=np.column_stack([speeds, trace["omega"][1:]]),
+        dt=cfg.dt,
     )
 
 
@@ -368,7 +365,7 @@ class SuiteConfig:
 
 
 def grid_path_exists(world: World, d_inflate: float, cell: float = 0.1) -> bool:
-    """BFS on an occupancy raster inflated by d_inflate from start to goal."""
+    """Whether a 4-connected path joins start and goal on an occupancy raster inflated by d_inflate."""
     xmin, ymin, xmax, ymax = world.bounds
     nx = int(math.ceil((xmax - xmin) / cell))
     ny = int(math.ceil((ymax - ymin) / cell))
@@ -389,29 +386,24 @@ def grid_path_exists(world: World, d_inflate: float, cell: float = 0.1) -> bool:
         free[:wall, :] = free[-wall:, :] = False
         free[:, :wall] = free[:, -wall:] = False
 
-    def cell_of(p):
-        return (
-            min(max(int((p[0] - xmin) / cell), 0), nx - 1),
-            min(max(int((p[1] - ymin) / cell), 0), ny - 1),
-        )
-
-    start = cell_of(world.start.position)
-    goal = cell_of(world.goal)
-    if not (free[start] and free[goal]):
-        return False
-    seen = np.zeros_like(free)
-    seen[start] = True
-    q = deque([start])
-    while q:
-        cx, cy = q.popleft()
-        if (cx, cy) == goal:
-            return True
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            x2, y2 = cx + dx, cy + dy
-            if 0 <= x2 < nx and 0 <= y2 < ny and free[x2, y2] and not seen[x2, y2]:
-                seen[x2, y2] = True
-                q.append((x2, y2))
-    return False
+    # the raster cells of the start and the goal, clamped into the grid
+    cells = ((np.array([world.start.position, world.goal]) - (xmin, ymin)) / cell).astype(int)
+    start, goal = map(tuple, np.clip(cells, 0, (nx - 1, ny - 1)))
+    # 4-connected flood fill: grow the reached set by one cell a sweep until it
+    # holds the goal or stops growing
+    reach = np.zeros_like(free)
+    reach[start] = free[start]
+    while not reach[goal]:
+        grown = reach.copy()
+        grown[1:, :] |= reach[:-1, :]
+        grown[:-1, :] |= reach[1:, :]
+        grown[:, 1:] |= reach[:, :-1]
+        grown[:, :-1] |= reach[:, 1:]
+        grown &= free
+        if np.array_equal(grown, reach):
+            return False
+        reach = grown
+    return True
 
 
 def make_clutter_world(rng: np.random.Generator, suite: SuiteConfig | None = None) -> World:
@@ -531,10 +523,7 @@ def run_benchmark(
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     model_paths = model_paths or {}
-    for method in methods:
-        needed = _MODEL_OF.get(method)
-        if needed is not None and needed not in model_paths:
-            raise ValueError(f"method {method!r} needs a {needed!r} checkpoint in model_paths")
+    _check_methods(methods, model_paths)
     ep = episode_cfg or EpisodeConfig()
     worlds = suite_worlds(episodes, seed, suite)
     cfg_payload = {
@@ -612,7 +601,7 @@ def emit_traces(outcome: EpisodeOutcome, out_dir, stem: str = "episode") -> tupl
         "method": outcome.method,
         "seed": outcome.seed,
         "result": outcome.result,
-        "dt": float(np.diff(outcome.trace["t"]).mean()) if n > 1 else 0.1,
+        "dt": float(outcome.dt),
         "commands": outcome.commands.tolist(),
     }
     with open(replay_path, "w") as f:

@@ -12,7 +12,9 @@ from .bench import (
     DESK_NOISE,
     METHODS,
     EpisodeConfig,
+    MissingCheckpointError,
     SuiteConfig,
+    _check_methods,
     emit_traces,
     model_from_checkpoint,
     replay_trajectory,
@@ -72,13 +74,22 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_models(args) -> dict:
-    models = {}
-    if getattr(args, "checkpoint", None):
-        models["augmented"] = model_from_checkpoint(args.checkpoint)
-    if getattr(args, "baseline_checkpoint", None):
-        models["baseline_nll"] = model_from_checkpoint(args.baseline_checkpoint)
-    return models
+# model key -> the flag that gives its checkpoint
+_CHECKPOINT_FLAGS = {"augmented": "--checkpoint", "baseline_nll": "--baseline-checkpoint"}
+
+
+def _checkpoint_paths(args, methods: list[str]) -> dict[str, str]:
+    """The checkpoint given for each model key; exits on an unknown or repeated
+    method, or on a learned one whose checkpoint flag is missing."""
+    paths = {key: path for key, flag in _CHECKPOINT_FLAGS.items()
+             if (path := getattr(args, flag.lstrip("-").replace("-", "_")))}
+    try:
+        _check_methods(methods, paths)
+    except MissingCheckpointError as e:
+        raise SystemExit(f"{e}: give it with {_CHECKPOINT_FLAGS[e.key]}") from None
+    except ValueError as e:
+        raise SystemExit(str(e)) from None
+    return paths
 
 
 def cmd_episode(args) -> int:
@@ -90,7 +101,9 @@ def cmd_episode(args) -> int:
         world.validate(cfg.d_o)
     except ValueError as e:
         raise SystemExit(f"{args.scenario}: {e}") from None
-    out = run_episode(world, args.method, seed, sensor, cfg, EpisodeConfig(), _load_models(args))
+    models = {key: model_from_checkpoint(path)
+              for key, path in _checkpoint_paths(args, [args.method]).items()}
+    out = run_episode(world, args.method, seed, sensor, cfg, EpisodeConfig(), models)
     csv_path, replay_path = emit_traces(out, args.out, stem=f"{args.method}")
     print(
         f"{args.method}: {out.result} in {out.duration:.1f}s, "
@@ -102,15 +115,8 @@ def cmd_episode(args) -> int:
 
 def cmd_bench(args) -> int:
     methods = args.methods.split(",")
-    for m in methods:
-        if m not in METHODS:
-            raise SystemExit(f"unknown method {m!r}; choose from {METHODS}")
+    model_paths = _checkpoint_paths(args, methods)
     sensor = _default_sensor(noisy=not args.no_noise)
-    model_paths = {}
-    if args.checkpoint:
-        model_paths["augmented"] = args.checkpoint
-    if args.baseline_checkpoint:
-        model_paths["baseline_nll"] = args.baseline_checkpoint
     report = run_benchmark(
         methods,
         args.episodes,

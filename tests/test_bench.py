@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+from collections import deque
 
 import numpy as np
 import pytest
@@ -68,7 +69,68 @@ def blas_thread_count() -> int:
 def fake_outcome(result: str, seed: int, method: str) -> EpisodeOutcome:
     return EpisodeOutcome(result=result, duration=1.0, trace={}, avg_speed=0.5, max_speed=0.5,
                           min_true_clearance=1.0, world=None, seed=seed, method=method,
-                          commands=np.zeros((0, 2)))
+                          commands=np.zeros((0, 2)), dt=0.1)
+
+
+def bfs_path_exists(world: World, d_inflate: float, cell: float = 0.1) -> bool:
+    """Reference for grid_path_exists: the same raster, searched cell by cell with a BFS."""
+    xmin, ymin, xmax, ymax = world.bounds
+    nx = int(math.ceil((xmax - xmin) / cell))
+    ny = int(math.ceil((ymax - ymin) / cell))
+    xs = xmin + (np.arange(nx) + 0.5) * cell
+    ys = ymin + (np.arange(ny) + 0.5) * cell
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    free = np.ones((nx, ny), dtype=bool)
+    for ob in world.obstacles:
+        if isinstance(ob, Circle):
+            free &= (gx - ob.cx) ** 2 + (gy - ob.cy) ** 2 > (ob.radius + d_inflate) ** 2
+        else:
+            dx = np.maximum(np.maximum(ob.xmin - gx, 0.0), gx - ob.xmax)
+            dy = np.maximum(np.maximum(ob.ymin - gy, 0.0), gy - ob.ymax)
+            free &= dx * dx + dy * dy > d_inflate**2
+    wall = int(math.ceil(d_inflate / cell))
+    if wall > 0:
+        free[:wall, :] = free[-wall:, :] = False
+        free[:, :wall] = free[:, -wall:] = False
+
+    def cell_of(p):
+        return (
+            min(max(int((p[0] - xmin) / cell), 0), nx - 1),
+            min(max(int((p[1] - ymin) / cell), 0), ny - 1),
+        )
+
+    start = cell_of(world.start.position)
+    goal = cell_of(world.goal)
+    if not (free[start] and free[goal]):
+        return False
+    seen = np.zeros_like(free)
+    seen[start] = True
+    q = deque([start])
+    while q:
+        cx, cy = q.popleft()
+        if (cx, cy) == goal:
+            return True
+        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            x2, y2 = cx + dx, cy + dy
+            if 0 <= x2 < nx and 0 <= y2 < ny and free[x2, y2] and not seen[x2, y2]:
+                seen[x2, y2] = True
+                q.append((x2, y2))
+    return False
+
+
+ARENA = (0.0, 0.0, 10.0, 8.0)
+# (obstacles, start, goal, d_inflate, path exists)
+GRID_CASES = {
+    # two boxes meet corner to corner at (5, 4): the free cells on either side
+    # touch only diagonally, which a 4-connected path cannot cross
+    "diagonal_gap": ((Box(0.0, 0.0, 5.0, 4.0), Box(5.0, 4.0, 10.0, 8.0)), (2.0, 6.0), (8.0, 2.0),
+                     0.0, False),
+    # a wall open only at the top: the path climbs it and comes back down
+    "u_corridor": ((Box(4.0, 0.0, 5.0, 6.0),), (2.0, 1.0), (8.0, 1.0), 0.2, True),
+    "start_and_goal_in_one_cell": ((Box(4.0, 0.0, 5.0, 8.0),), (1.02, 1.03), (1.07, 1.08), 0.2, True),
+    "blocked_goal": ((Box(7.0, 3.0, 9.0, 5.0),), (1.0, 4.0), (8.0, 4.0), 0.2, False),
+    "blocked_start": ((Box(0.5, 3.0, 2.0, 5.0),), (1.0, 4.0), (8.0, 4.0), 0.2, False),
+}
 
 
 class TestClutterWorlds:
@@ -82,6 +144,27 @@ class TestClutterWorlds:
         wall = Box(4.0, 0.0, 5.0, 8.0)  # full-height wall
         world = World((wall,), (0, 0, 10, 8), RobotState(1, 4, 0), (9, 4))
         assert not grid_path_exists(world, 0.3)
+
+    @pytest.mark.parametrize("case", GRID_CASES)
+    def test_grid_path_matches_bfs(self, case):
+        obstacles, start, goal, d_inflate, expected = GRID_CASES[case]
+        world = World(obstacles, ARENA, RobotState(*start, 0.0), goal)
+        assert grid_path_exists(world, d_inflate) == bfs_path_exists(world, d_inflate) == expected
+
+    def test_suite_candidates_match_bfs(self, monkeypatch):
+        # every world the suite draws is checked the same way by both searches
+        checked = []
+
+        def compared(world, d_inflate, cell):
+            found = grid_path_exists(world, d_inflate, cell)
+            assert found == bfs_path_exists(world, d_inflate, cell)
+            checked.append(found)
+            return found
+
+        monkeypatch.setattr(bench, "grid_path_exists", compared)
+        for seed in (1, 2, 77):
+            suite_worlds(24, seed)
+        assert len(checked) >= 72
 
     def test_suite_deterministic(self):
         a = suite_worlds(3, seed=5)
@@ -146,6 +229,12 @@ class TestRunEpisode:
         world = make_clutter_world(np.random.default_rng(0))
         with pytest.raises(ValueError, match="method"):
             run_episode(world, "nonsense", 0, quiet(), fast_planner())
+
+    @pytest.mark.parametrize("method, needed", [("det", "augmented"), ("baseline_nll", "baseline_nll")])
+    def test_learned_method_without_models_rejected(self, method, needed):
+        world = make_clutter_world(np.random.default_rng(0))
+        with pytest.raises(ValueError, match=f"{method!r} needs a {needed!r} checkpoint"):
+            run_episode(world, method, 0, quiet(), fast_planner(), models=None)
 
     def test_outcomes_mutually_exclusive(self):
         results = set()
@@ -218,6 +307,18 @@ class TestBenchmark:
             with pytest.raises(ValueError, match=f"{method!r} needs a {needed!r} checkpoint"):
                 run_benchmark(["oracle", method], 1, 0, quiet(), fast_planner(), workers=workers,
                               model_paths=paths)
+
+    @pytest.mark.parametrize("methods, message", [(["oracle", "bogus"], "unknown method 'bogus'"),
+                                                  (["oracle", "oracle"], "'oracle' is listed twice")],
+                             ids=["unknown", "repeated"])
+    def test_bad_method_list_rejected_before_any_work(self, monkeypatch, methods, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a world was built or an episode ran")
+
+        monkeypatch.setattr(bench, "suite_worlds", no_work)
+        monkeypatch.setattr(bench, "run_episode", no_work)
+        with pytest.raises(ValueError, match=message):
+            run_benchmark(methods, 2, 0, quiet(), fast_planner())
 
     def test_learned_methods_same_report_for_any_worker_count(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -372,12 +473,17 @@ class TestTraces:
                 assert math.isfinite(float(v))
 
     def test_replay_round_trip(self, tmp_path):
+        # the replay steps with the episode's own dt, so it repeats the trace exactly,
+        # also for lengths whose mean step of the trace times is not dt (12 commands)
         world, out = self._episode()
-        _, replay_path = emit_traces(out, tmp_path)
-        _, states = replay_trajectory(replay_path)
-        assert np.allclose(states[:, 0], out.trace["x"], atol=1e-12)
-        assert np.allclose(states[:, 1], out.trace["y"], atol=1e-12)
-        assert np.allclose(states[:, 2], out.trace["psi"], atol=1e-12)
+        short = run_episode(world, "oracle", 5, quiet(), fast_planner(), EpisodeConfig(timeout_s=1.2))
+        assert short.commands.shape == (12, 2)
+        for stem, episode in (("full", out), ("short", short)):
+            _, replay_path = emit_traces(episode, tmp_path, stem)
+            _, states = replay_trajectory(replay_path)
+            assert np.array_equal(states[:, 0], episode.trace["x"])
+            assert np.array_equal(states[:, 1], episode.trace["y"])
+            assert np.array_equal(states[:, 2], episode.trace["psi"])
 
     def test_speed_stats_match_trace(self, tmp_path):
         world, out = self._episode()

@@ -89,3 +89,19 @@ def test_bench_command(tmp_path, planner_file):
 def test_bench_rejects_unknown_method(tmp_path):
     with pytest.raises(SystemExit):
         main(["bench", "--methods", "bogus", "--episodes", "1", "--out", str(tmp_path)])
+
+
+def test_bench_rejects_repeated_method(tmp_path):
+    with pytest.raises(SystemExit, match="'oracle' is listed twice"):
+        main(["bench", "--methods", "oracle,oracle", "--episodes", "1", "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("method, flag", [("det", "--checkpoint"), ("augmented", "--checkpoint"),
+                                          ("baseline_nll", "--baseline-checkpoint")])
+def test_learned_method_without_checkpoint_names_the_flag(tmp_path, scenario_file, method, flag):
+    out_dir = tmp_path / "traces"
+    with pytest.raises(SystemExit, match=f"method {method!r} needs .* give it with {flag}$"):
+        main(["episode", "--scenario", scenario_file, "--method", method, "--out", str(out_dir)])
+    with pytest.raises(SystemExit, match=f"method {method!r} needs .* give it with {flag}$"):
+        main(["bench", "--methods", f"oracle,{method}", "--episodes", "1", "--out", str(tmp_path)])
+    assert not out_dir.exists()
