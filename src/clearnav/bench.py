@@ -33,7 +33,6 @@ from .model import (
     ClearanceIndex,
     ModelParams,
     PolarFeaturizer,
-    RiskHeadParams,
     load_checkpoint,
     predict_batch,
 )
@@ -47,7 +46,6 @@ from .world import (
     World,
     body_to_world,
     raycast_scan,
-    sensor_to_dict,
     true_clearance,
     world_from_dict,
     world_to_dict,
@@ -140,17 +138,8 @@ class BenchmarkReport:
     seed: int
     config_hash: str
 
-    def to_dict(self) -> dict:
-        return {
-            "episodes": self.episodes,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "methods": self.methods,
-            "outcomes": self.outcomes,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def save(self, path) -> None:
         with open(path, "w") as f:
@@ -174,23 +163,23 @@ class BenchmarkReport:
 @dataclass(eq=False)
 class LearnedModel:
     params: ModelParams
-    risk_head: RiskHeadParams | None
     featurizer: PolarFeaturizer
+    dt: float  # the command step the model was trained at
 
 
 def model_from_checkpoint(path) -> LearnedModel:
-    """Load a learned model; its featurizer must be fully described by the meta."""
-    params, risk_head, meta = load_checkpoint(path)
-    missing = [k for k in ("fov", "max_range", "n_sectors") if k not in meta]
+    """Load a learned model; its featurizer and step must be fully described by the meta."""
+    params, _, meta = load_checkpoint(path)
+    missing = [k for k in ("fov", "max_range", "n_sectors", "dt") if k not in meta]
     if missing:
-        raise ValueError(f"{path}: checkpoint meta lacks featurizer keys {missing}")
+        raise ValueError(f"{path}: checkpoint meta lacks the featurizer and step keys {missing}")
     feat = PolarFeaturizer(fov=meta["fov"], max_range=meta["max_range"], n_sectors=meta["n_sectors"])
     if feat.n_sectors + 2 != params.n_features:
         raise ValueError(
             f"{path}: n_sectors {feat.n_sectors} + 2 does not match the model's "
             f"n_features {params.n_features}"
         )
-    return LearnedModel(params, risk_head, feat)
+    return LearnedModel(params, feat, meta["dt"])
 
 
 def learned_factory(model: LearnedModel, sigma_override: float | None = None):
@@ -265,10 +254,13 @@ def make_predictor_factory(
     _check_methods([method], models)
     if method in _MODEL_OF:
         model = models[_MODEL_OF[method]]
-        if model.params.horizon != cfg.horizon:
+        feat = model.featurizer  # compared exactly: the model has seen no other inputs
+        if (model.params.horizon, model.dt, feat.fov, feat.max_range) != (
+                cfg.horizon, cfg.dt, sensor.fov, sensor.max_range):
             raise ValueError(
-                f"{method}: model horizon {model.params.horizon} does not match "
-                f"planner horizon {cfg.horizon}"
+                f"{method}: model horizon {model.params.horizon} dt {model.dt} fov {feat.fov} "
+                f"max_range {feat.max_range} does not match planner horizon {cfg.horizon} "
+                f"dt {cfg.dt} and sensor fov {sensor.fov} max_range {sensor.max_range}"
             )
         sigma_override = ep.det_sigma if method == "det" else None
         return learned_factory(model, sigma_override=sigma_override), cfg
@@ -485,15 +477,8 @@ def _episode_job(args, models: dict[str, LearnedModel] | None = None):
 
 
 def _summarize(out: EpisodeOutcome) -> dict:
-    return {
-        "result": out.result,
-        "duration": out.duration,
-        "avg_speed": out.avg_speed,
-        "max_speed": out.max_speed,
-        "min_true_clearance": out.min_true_clearance,
-        "seed": out.seed,
-        "method": out.method,
-    }
+    """The report's record of an episode: its fields but the arrays, the world and the step."""
+    return {k: v for k, v in vars(out).items() if k not in ("trace", "world", "commands", "dt")}
 
 
 def _config_hash(payload: dict) -> str:
@@ -530,7 +515,7 @@ def run_benchmark(
         "methods": sorted(methods),
         "episodes": episodes,
         "seed": seed,
-        "sensor": sensor_to_dict(sensor),
+        "sensor": asdict(sensor),
         "planner": asdict(planner_cfg),
         "episode": asdict(ep),
         "suite": asdict(suite or SuiteConfig()),

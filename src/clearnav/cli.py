@@ -26,18 +26,26 @@ from .data import ClearanceDataset, generate_dataset
 from .model import save_checkpoint
 from .planner import PlannerConfig
 from .training import TrainConfig, train
-from .world import NoiseModel, SensorConfig, load_scenario, sensor_from_dict
+from .world import NoiseModel, SensorConfig, _from_dict, load_scenario
 
 
 def _default_sensor(noisy: bool = True) -> SensorConfig:
     return SensorConfig(noise=DESK_NOISE if noisy else NoiseModel())
 
 
+def _or_exit(path, call, *args):
+    """call(*args); a ValueError or TypeError from it exits with the file name and the reason."""
+    try:
+        return call(*args)
+    except (ValueError, TypeError) as e:
+        raise SystemExit(f"{path}: {e}") from None
+
+
 def _planner_from_json(path) -> PlannerConfig:
     if path is None:
         return PlannerConfig()
     with open(path) as f:
-        return PlannerConfig(**json.load(f))
+        return _from_dict(PlannerConfig, json.load(f), "planner config")
 
 
 def cmd_gen_data(args) -> int:
@@ -93,14 +101,11 @@ def _checkpoint_paths(args, methods: list[str]) -> dict[str, str]:
 
 
 def cmd_episode(args) -> int:
-    world, sensor, seed, _ = load_scenario(args.scenario)
+    world, sensor, seed, _ = _or_exit(args.scenario, load_scenario, args.scenario)
     if args.seed is not None:
         seed = args.seed
-    cfg = _planner_from_json(args.planner_config)
-    try:
-        world.validate(cfg.d_o)
-    except ValueError as e:
-        raise SystemExit(f"{args.scenario}: {e}") from None
+    cfg = _or_exit(args.planner_config, _planner_from_json, args.planner_config)
+    _or_exit(args.scenario, world.validate, cfg.d_o)
     models = {key: model_from_checkpoint(path)
               for key, path in _checkpoint_paths(args, [args.method]).items()}
     out = run_episode(world, args.method, seed, sensor, cfg, EpisodeConfig(), models)
@@ -122,7 +127,7 @@ def cmd_bench(args) -> int:
         args.episodes,
         args.seed,
         sensor,
-        _planner_from_json(args.planner_config),
+        _or_exit(args.planner_config, _planner_from_json, args.planner_config),
         EpisodeConfig(),
         workers=args.workers,
         model_paths=model_paths,

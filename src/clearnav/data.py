@@ -9,16 +9,18 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .dynamics import RobotState, sample_controls
 from .model import worst_case_clearance
 from .world import (
+    CLOUD_SIZE,
     BiasField,
     SensorConfig,
     World,
+    _check_keys,
     body_to_world,
     estimated_scan,
     raycast_scan,
@@ -26,20 +28,20 @@ from .world import (
     true_clearance,
 )
 
-DATASET_VERSION = 1
-CLOUD_SIZE = 300
+DATASET_VERSION = 2
+_POSE_TRIES = 200  # random positions sample_free_pose draws before it gives up
 
 
 @dataclass(eq=False)
 class ClearanceDataset:
-    """Column store over samples; snapshot-level arrays are shared, not copied."""
+    """Column store over samples; snapshot-level arrays are shared, not copied.
+    Each field is stored as it is; a named axis has one length in every array."""
 
-    clouds: np.ndarray  # (n_snapshots, 300, 2)
-    states: np.ndarray  # (n_snapshots, 5)
-    snapshot: np.ndarray  # (n_samples,) index into snapshot arrays
-    controls: np.ndarray  # (n_samples, H, 2)
-    clearance: np.ndarray  # (n_samples,)
-    safe: np.ndarray  # (n_samples,) uint8, 1 = clearance >= d_o
+    clouds: np.ndarray = field(metadata={"axes": ("snapshots", CLOUD_SIZE, 2)})  # noisy scans
+    states: np.ndarray = field(metadata={"axes": ("snapshots", 5)})  # RobotState.as_array
+    snapshot: np.ndarray = field(metadata={"axes": ("samples",)})  # index into snapshot arrays
+    controls: np.ndarray = field(metadata={"axes": ("samples", "horizon", 2)})
+    clearance: np.ndarray = field(metadata={"axes": ("samples",)})
     d_o: float
     dt: float
     seed: int
@@ -57,47 +59,47 @@ class ClearanceDataset:
     def n_snapshots(self) -> int:
         return self.clouds.shape[0]
 
+    @property
+    def safe(self) -> np.ndarray:
+        """(n_samples,) uint8, 1 = clearance >= d_o."""
+        return (self.clearance >= self.d_o).astype(np.uint8)
+
     def save(self, path) -> None:
-        np.savez_compressed(
-            path,
-            version=np.array(DATASET_VERSION),
-            clouds=self.clouds.astype(np.float32),
-            states=self.states,
-            snapshot=self.snapshot.astype(np.int32),
-            controls=self.controls.astype(np.float32),
-            clearance=self.clearance,
-            safe=self.safe.astype(np.uint8),
-            header=np.array([self.d_o, self.dt, float(self.seed), self.fov, self.max_range]),
-        )
+        arrays = {f.name: np.asarray(getattr(self, f.name)) for f in fields(self)}
+        np.savez_compressed(path, version=np.array(DATASET_VERSION), **arrays)
 
     @classmethod
     def load(cls, path) -> "ClearanceDataset":
+        """Read a dataset `save` wrote; a wrong version, key set, shape, index
+        or non-finite value raises ValueError naming the file and the array."""
+        names = [f.name for f in fields(cls)]
         with np.load(path) as z:
             version = int(z["version"])
             if version != DATASET_VERSION:
-                raise ValueError(f"unsupported dataset version {version}")
-            d_o, dt, seed, fov, max_range = z["header"]
-            return cls(
-                clouds=z["clouds"].astype(float),
-                states=z["states"].astype(float),
-                snapshot=z["snapshot"].astype(int),
-                controls=z["controls"].astype(float),
-                clearance=z["clearance"].astype(float),
-                safe=z["safe"].astype(np.uint8),
-                d_o=float(d_o),
-                dt=float(dt),
-                seed=int(seed),
-                fov=float(fov),
-                max_range=float(max_range),
-            )
+                raise ValueError(f"{path}: dataset version {version}, expected {DATASET_VERSION}; "
+                                 "regenerate it with clearnav gen-data")
+            _check_keys(f"{path}: arrays", [k for k in z.files if k != "version"], names)
+            arrays = {name: z[name] for name in names}
+        lengths: dict[str, int] = {}  # of each named axis, set by the first array that has it
+        for f in fields(cls):
+            arr, axes = arrays[f.name], f.metadata.get("axes", ())
+            expected = tuple(lengths.setdefault(axis, n) if isinstance(axis, str) else axis
+                             for axis, n in zip(axes, arr.shape))
+            if arr.ndim != len(axes) or arr.shape != expected:
+                raise ValueError(f"{path}: array {f.name} has shape {arr.shape}, expected "
+                                 f"{axes} with the axis lengths {lengths}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{path}: array {f.name} contains non-finite values")
+        snapshot, n = arrays["snapshot"], lengths["snapshots"]
+        if snapshot.dtype.kind not in "iu" or snapshot.size and not 0 <= snapshot.min() <= snapshot.max() < n:
+            raise ValueError(f"{path}: array snapshot must hold integer indices in [0, {n})")
+        return cls(**{k: v.item() if v.ndim == 0 else v for k, v in arrays.items()})
 
 
-def sample_free_pose(
-    world: World, rng: np.random.Generator, d_o: float, max_tries: int = 200
-) -> RobotState | None:
+def sample_free_pose(world: World, rng: np.random.Generator, d_o: float) -> RobotState | None:
     """Random collision-free pose with v ~ U[-1,1] clipped to [0,1], w ~ U[-1,1]."""
     xmin, ymin, xmax, ymax = world.bounds
-    for _ in range(max_tries):
+    for _ in range(_POSE_TRIES):
         p = rng.uniform([xmin, ymin], [xmax, ymax])
         if true_clearance(p, world) <= d_o:
             continue
@@ -137,7 +139,7 @@ def generate_dataset(
                 break
             bias = BiasField(sensor.noise, seed=int(rng.integers(2**63)))
             noisy = estimated_scan(state, world, sensor, rng, t=0, bias=bias)
-            cloud = standardize_cloud(noisy, sensor, rng, CLOUD_SIZE)
+            cloud = standardize_cloud(noisy, sensor, rng)
             reference = body_to_world(raycast_scan(state, world, sensor), state)
             cmd = sample_controls(rng, sequences_per_snapshot, horizon)
             d = worst_case_clearance(state, cmd, reference, dt, sensor.max_range)
@@ -152,14 +154,12 @@ def generate_dataset(
             warnings.warn(f"world {wi} has no reachable free space; skipped")
     if snap == 0:
         raise ValueError("no snapshots could be generated from the given worlds")
-    clearance = np.concatenate(clearances)
     return ClearanceDataset(
         clouds=np.stack(clouds),
         states=np.stack(states),
         snapshot=np.concatenate(snap_idx),
         controls=np.concatenate(controls),
-        clearance=clearance,
-        safe=(clearance >= d_o).astype(np.uint8),
+        clearance=np.concatenate(clearances),
         d_o=d_o,
         dt=dt,
         seed=seed,

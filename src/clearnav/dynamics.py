@@ -27,10 +27,6 @@ class RobotState:
     def position(self) -> np.ndarray:
         return np.array([self.x, self.y])
 
-    @property
-    def pose(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.psi])
-
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.psi, self.v, self.omega])
 

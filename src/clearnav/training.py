@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -256,9 +256,8 @@ class TrainingLog:
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
-            w.writerow(["epoch", "nll", "ce", "holdout_accuracy", "mean_sigma", "median_sigma"])
-            for r in self.rows:
-                w.writerow([r.epoch, r.nll, r.ce, r.holdout_accuracy, r.mean_sigma, r.median_sigma])
+            w.writerow([f.name for f in fields(LogRow)])
+            w.writerows(astuple(r) for r in self.rows)
 
 
 @dataclass(eq=False)

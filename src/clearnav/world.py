@@ -16,13 +16,20 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
 from .dynamics import RobotState
 
-FOV_DEFAULT = math.radians(69.0)  # forward camera-like horizontal field of view
+CLOUD_SIZE = 300  # points in a standardized cloud
+_BIAS_KNOTS = 12  # knots of the bias field around the full circle of bearings
+
+
+def _check_finite(obj) -> None:
+    for f in fields(obj):
+        if not math.isfinite(getattr(obj, f.name)):
+            raise ValueError(f"{type(obj).__name__}.{f.name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -32,6 +39,7 @@ class Circle:
     radius: float
 
     def __post_init__(self):
+        _check_finite(self)
         if self.radius <= 0:
             raise ValueError("circle radius must be positive")
 
@@ -48,6 +56,7 @@ class Box:
     ymax: float
 
     def __post_init__(self):
+        _check_finite(self)
         if not (self.xmin < self.xmax and self.ymin < self.ymax):
             raise ValueError("box min corner must be strictly below max corner")
 
@@ -111,6 +120,7 @@ class NoiseModel:
     dropout_prob: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self)
         if self.additive_sigma < 0:
             raise ValueError("additive_sigma must be >= 0")
         if not 0.0 <= self.dropout_prob <= 1.0:
@@ -129,7 +139,7 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class SensorConfig:
-    fov: float = FOV_DEFAULT
+    fov: float = math.radians(69.0)  # forward camera-like horizontal field of view
     n_rays: int = 120
     max_range: float = 5.0
     noise: NoiseModel = field(default_factory=NoiseModel)
@@ -139,8 +149,8 @@ class SensorConfig:
             raise ValueError("fov must be in (0, 2*pi]")
         if self.n_rays < 1:
             raise ValueError("n_rays must be >= 1")
-        if self.max_range <= 0:
-            raise ValueError("max_range must be positive")
+        if not (math.isfinite(self.max_range) and self.max_range > 0):
+            raise ValueError("max_range must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,9 +162,10 @@ class World:
 
     def __post_init__(self):
         xmin, ymin, xmax, ymax = self.bounds
-        if not (xmin < xmax and ymin < ymax):
-            raise ValueError("bounds must form a nonempty rectangle")
+        if not (all(map(math.isfinite, self.bounds)) and xmin < xmax and ymin < ymax):
+            raise ValueError("bounds must form a finite nonempty rectangle")
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
+        object.__setattr__(self, "bounds", tuple(self.bounds))
         object.__setattr__(self, "goal", (float(self.goal[0]), float(self.goal[1])))
 
     def in_bounds(self, p: np.ndarray) -> bool:
@@ -237,17 +248,16 @@ class BiasField:
     asked for are kept, read-only, so the steps of one epoch draw them once.
     """
 
-    def __init__(self, noise: NoiseModel, seed: int, n_knots: int = 12):
+    def __init__(self, noise: NoiseModel, seed: int):
         self.noise = noise
         self.seed = int(seed)
-        self.n_knots = n_knots
         self._kept: dict[int, np.ndarray] = {}
 
     def _knots(self, epoch: int) -> np.ndarray:
         knots = self._kept.get(epoch)
         if knots is None:
             rng = np.random.default_rng([self.seed, int(epoch)])
-            knots = rng.uniform(-1.0, 1.0, self.n_knots) * self.noise.range_bias_scale
+            knots = rng.uniform(-1.0, 1.0, _BIAS_KNOTS) * self.noise.range_bias_scale
             knots.flags.writeable = False
             # values() reads epochs e and e + 1, so only the neighbours stay useful
             self._kept = {e: k for e, k in self._kept.items() if abs(e - epoch) == 1}
@@ -255,9 +265,9 @@ class BiasField:
         return knots
 
     def _interp(self, knots: np.ndarray, world_angles: np.ndarray) -> np.ndarray:
-        pos = (np.mod(world_angles, 2 * math.pi)) / (2 * math.pi) * self.n_knots
-        i0 = np.floor(pos).astype(int) % self.n_knots
-        i1 = (i0 + 1) % self.n_knots
+        pos = (np.mod(world_angles, 2 * math.pi)) / (2 * math.pi) * _BIAS_KNOTS
+        i0 = np.floor(pos).astype(int) % _BIAS_KNOTS
+        i1 = (i0 + 1) % _BIAS_KNOTS
         frac = pos - np.floor(pos)
         w = 0.5 * (1.0 - np.cos(math.pi * frac))
         return (1.0 - w) * knots[i0] + w * knots[i1]
@@ -304,13 +314,8 @@ def estimated_scan(
     return _polar_to_points(angles, ranges)
 
 
-def standardize_cloud(
-    cloud: np.ndarray,
-    cfg: SensorConfig,
-    rng: np.random.Generator,
-    size: int = 300,
-) -> np.ndarray:
-    """Resample a body-frame cloud to exactly `size` points.
+def standardize_cloud(cloud: np.ndarray, cfg: SensorConfig, rng: np.random.Generator) -> np.ndarray:
+    """Resample a body-frame cloud to exactly CLOUD_SIZE points.
 
     Oversized clouds are subsampled without replacement; undersized ones are
     padded by resampling existing points with replacement. An empty cloud maps
@@ -318,15 +323,15 @@ def standardize_cloud(
     """
     cloud = np.asarray(cloud, dtype=float).reshape(-1, 2)
     n = cloud.shape[0]
-    if n == size:
+    if n == CLOUD_SIZE:
         return cloud
-    if n > size:
-        idx = np.sort(rng.choice(n, size=size, replace=False))
+    if n > CLOUD_SIZE:
+        idx = np.sort(rng.choice(n, size=CLOUD_SIZE, replace=False))
         return cloud[idx]
     if n == 0:
-        angles = np.linspace(-cfg.fov / 2.0, cfg.fov / 2.0, size)
-        return _polar_to_points(angles, np.full(size, cfg.max_range))
-    pad = rng.choice(n, size=size - n, replace=True)
+        angles = np.linspace(-cfg.fov / 2.0, cfg.fov / 2.0, CLOUD_SIZE)
+        return _polar_to_points(angles, np.full(CLOUD_SIZE, cfg.max_range))
+    pad = rng.choice(n, size=CLOUD_SIZE - n, replace=True)
     return np.concatenate([cloud, cloud[pad]], axis=0)
 
 
@@ -342,6 +347,27 @@ def body_to_world(points: np.ndarray, state: RobotState) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # JSON scenario I/O (schema documented in README)
 
+def _check_keys(section: str, d: dict, known, required=None) -> None:
+    """Refuse a key of d outside `known`, or a missing key of `required` (all of
+    `known` when not given), with a ValueError naming the section and the key."""
+    for key in d:
+        if key not in known:
+            raise ValueError(f"{section}: unknown key {key!r}")
+    for key in known if required is None else required:
+        if key not in d:
+            raise ValueError(f"{section}: missing key {key!r}")
+
+
+def _from_dict(cls, d: dict, section: str, **read):
+    """Dataclass cls from the mapping d of its fields, each passed through its
+    function in `read` if it has one. A key cls does not define, or a missing
+    field without a default, raises ValueError naming the section."""
+    fs = fields(cls)
+    required = [f.name for f in fs if f.default is MISSING and f.default_factory is MISSING]
+    _check_keys(section, d, [f.name for f in fs], required)
+    return cls(**{k: read[k](v) if k in read else v for k, v in d.items()})
+
+
 def obstacle_to_dict(ob: Obstacle) -> dict:
     if isinstance(ob, Circle):
         return {"type": "circle", "center": [ob.cx, ob.cy], "radius": ob.radius}
@@ -349,55 +375,38 @@ def obstacle_to_dict(ob: Obstacle) -> dict:
 
 
 def obstacle_from_dict(d: dict) -> Obstacle:
-    kind = d["type"]
+    kind = d.get("type")
     if kind == "circle":
-        return Circle(d["center"][0], d["center"][1], d["radius"])
+        _check_keys("circle", d, ("type", "center", "radius"))
+        return Circle(*d["center"], d["radius"])
     if kind == "box":
-        return Box(d["min"][0], d["min"][1], d["max"][0], d["max"][1])
+        _check_keys("box", d, ("type", "min", "max"))
+        (xmin, ymin), (xmax, ymax) = d["min"], d["max"]
+        return Box(xmin, ymin, xmax, ymax)
     raise ValueError(f"unknown obstacle type {kind!r}")
 
 
 def world_to_dict(world: World) -> dict:
-    s = world.start
     return {
         "bounds": list(world.bounds),
-        "start": {"x": s.x, "y": s.y, "psi": s.psi, "v": s.v, "omega": s.omega},
+        "start": asdict(world.start),
         "goal": list(world.goal),
         "obstacles": [obstacle_to_dict(ob) for ob in world.obstacles],
     }
 
 
 def world_from_dict(d: dict) -> World:
-    s = d["start"]
-    return World(
-        obstacles=tuple(obstacle_from_dict(o) for o in d.get("obstacles", [])),
-        bounds=tuple(d["bounds"]),
-        start=RobotState(s["x"], s["y"], s["psi"], s.get("v", 0.0), s.get("omega", 0.0)),
-        goal=tuple(d["goal"]),
-    )
-
-
-def sensor_to_dict(cfg: SensorConfig) -> dict:
-    return {
-        "fov": cfg.fov,
-        "n_rays": cfg.n_rays,
-        "max_range": cfg.max_range,
-        "noise": asdict(cfg.noise),
-    }
+    return _from_dict(World, {"obstacles": [], **d}, "world",  # obstacles may be left out
+                      obstacles=lambda obs: map(obstacle_from_dict, obs),
+                      start=lambda s: _from_dict(RobotState, s, "start"))
 
 
 def sensor_from_dict(d: dict) -> SensorConfig:
-    noise = NoiseModel(**d.get("noise", {}))
-    return SensorConfig(
-        fov=d.get("fov", FOV_DEFAULT),
-        n_rays=d.get("n_rays", 120),
-        max_range=d.get("max_range", 5.0),
-        noise=noise,
-    )
+    return _from_dict(SensorConfig, d, "sensor", noise=lambda n: _from_dict(NoiseModel, n, "noise"))
 
 
 def save_scenario(path, world: World, sensor: SensorConfig, seed: int, extra: dict | None = None) -> None:
-    doc = {"seed": int(seed), "world": world_to_dict(world), "sensor": sensor_to_dict(sensor)}
+    doc = {"seed": int(seed), "world": world_to_dict(world), "sensor": asdict(sensor)}
     if extra:
         doc.update(extra)
     with open(path, "w") as f:
@@ -408,6 +417,8 @@ def load_scenario(path) -> tuple[World, SensorConfig, int, dict]:
     """Load (world, sensor, seed, extras) from a scenario JSON file."""
     with open(path) as f:
         doc = json.load(f)
+    if "world" not in doc:
+        raise ValueError("scenario: missing key 'world'")
     world = world_from_dict(doc["world"])
     sensor = sensor_from_dict(doc.get("sensor", {}))
     extras = {k: v for k, v in doc.items() if k not in ("world", "sensor", "seed")}

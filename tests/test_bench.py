@@ -247,37 +247,59 @@ class TestRunEpisode:
             results.add(out.result)
 
 
-class TestLearnedModelBoundaries:
-    META = {"fov": 1.2, "max_range": 5.0, "n_sectors": 32}
+# checkpoint meta that matches quiet() and fast_planner()
+META = {"fov": SensorConfig().fov, "max_range": 5.0, "n_sectors": 32, "dt": 0.1}
 
+
+class TestLearnedModelBoundaries:
     def params(self, horizon=50):
         return ModelParams.init(np.random.default_rng(0), 34, horizon, hidden=8)
 
+    def model(self, horizon=50, fov=META["fov"], max_range=5.0, dt=0.1):
+        return LearnedModel(self.params(horizon), PolarFeaturizer(fov, max_range, 32), dt)
+
     @pytest.mark.parametrize("method", ["augmented", "baseline_nll", "det"])
     def test_horizon_mismatch_names_both(self, method):
-        model = LearnedModel(self.params(horizon=10), None, PolarFeaturizer(1.2, 5.0, 32))
+        model = self.model(horizon=10)
         models = {"augmented": model, "baseline_nll": model}
         world = make_clutter_world(np.random.default_rng(0))
         with pytest.raises(ValueError, match=r"model horizon 10 .* planner horizon 50"):
             make_predictor_factory(method, world, quiet(), fast_planner(), EpisodeConfig(), models)
 
+    @pytest.mark.parametrize("method", ["augmented", "baseline_nll", "det"])
+    @pytest.mark.parametrize("model_kw, message", [
+        ({"dt": 0.2}, r"model horizon 50 dt 0.2 .* planner horizon 50 dt 0.1 "),
+        ({"fov": 1.2}, r"dt 0.1 fov 1.2 max_range 5.0 does not match .* sensor fov 1.2042771838760873 "),
+        ({"max_range": 3.0}, r"max_range 3.0 does not match .* max_range 5.0$"),
+    ], ids=["dt", "fov", "max_range"])
+    def test_step_or_featurizer_mismatch_names_both(self, method, model_kw, message):
+        # checked exactly: a model trained at another step or sensor plans on inputs it never saw
+        model = self.model(**model_kw)
+        models = {"augmented": model, "baseline_nll": model}
+        world = make_clutter_world(np.random.default_rng(0))
+        with pytest.raises(ValueError, match=message):
+            make_predictor_factory(method, world, quiet(), fast_planner(), EpisodeConfig(), models)
+        matching = {"augmented": self.model(), "baseline_nll": self.model()}
+        make_predictor_factory(method, world, quiet(), fast_planner(), EpisodeConfig(), matching)
+
     def test_checkpoint_round_trip(self, tmp_path):
         path = tmp_path / "m.npz"
-        save_checkpoint(path, self.params(), None, self.META)
+        save_checkpoint(path, self.params(), None, META)
         model = model_from_checkpoint(path)
-        assert model.featurizer == PolarFeaturizer(1.2, 5.0, 32)
+        assert model.featurizer == PolarFeaturizer(META["fov"], 5.0, 32)
+        assert model.dt == 0.1
 
-    @pytest.mark.parametrize("key", ["fov", "max_range", "n_sectors"])
+    @pytest.mark.parametrize("key", ["fov", "max_range", "n_sectors", "dt"])
     def test_checkpoint_missing_featurizer_meta(self, tmp_path, key):
         path = tmp_path / "m.npz"
-        meta = {k: v for k, v in self.META.items() if k != key}
+        meta = {k: v for k, v in META.items() if k != key}
         save_checkpoint(path, self.params(), None, meta)
         with pytest.raises(ValueError, match=key):
             model_from_checkpoint(path)
 
     def test_checkpoint_sector_count_mismatch(self, tmp_path):
         path = tmp_path / "m.npz"
-        save_checkpoint(path, self.params(), None, dict(self.META, n_sectors=16))
+        save_checkpoint(path, self.params(), None, dict(META, n_sectors=16))
         with pytest.raises(ValueError, match="n_features 34"):
             model_from_checkpoint(path)
 
@@ -325,8 +347,7 @@ class TestBenchmark:
         paths = {}
         for name in ("augmented", "baseline_nll"):
             paths[name] = str(tmp_path / f"{name}.npz")
-            save_checkpoint(paths[name], ModelParams.init(rng, 34, 50, 8), None,
-                            {"fov": 1.2, "max_range": 5.0, "n_sectors": 32})
+            save_checkpoint(paths[name], ModelParams.init(rng, 34, 50, 8), None, META)
         cfg = fast_planner(iterations=2, samples=32, risk_elites=8, elites=4)
         ep = EpisodeConfig(timeout_s=1.0)
         methods = ["augmented", "baseline_nll", "det"]
@@ -340,7 +361,7 @@ class TestBenchmark:
         for name in ("augmented", "baseline_nll"):
             paths[name] = str(tmp_path / f"{name}.npz")
             save_checkpoint(paths[name], ModelParams.init(np.random.default_rng(0), 34, 50, 8), None,
-                            {"fov": 1.2, "max_range": 5.0, "n_sectors": 32})
+                            META)
         loads, seen = [], []
 
         def counting_load(path):

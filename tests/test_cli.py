@@ -11,6 +11,8 @@ from clearnav.data import ClearanceDataset
 from clearnav.dynamics import RobotState
 from clearnav.world import Circle, NoiseModel, SensorConfig, World, save_scenario
 
+from test_world import MALFORMED_SCENARIOS, scenario_doc
+
 
 @pytest.fixture
 def scenario_file(tmp_path, circle_world):
@@ -105,3 +107,24 @@ def test_learned_method_without_checkpoint_names_the_flag(tmp_path, scenario_fil
     with pytest.raises(SystemExit, match=f"method {method!r} needs .* give it with {flag}$"):
         main(["bench", "--methods", f"oracle,{method}", "--episodes", "1", "--out", str(tmp_path)])
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("change, message", MALFORMED_SCENARIOS)
+def test_episode_exits_naming_the_scenario_and_the_key(tmp_path, planner_file, change, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario_doc(**change)))
+    out_dir = tmp_path / "traces"
+    with pytest.raises(SystemExit, match=rf"^.*bad\.json: {message}$"):
+        main(["episode", "--scenario", str(path), "--planner-config", planner_file, "--out", str(out_dir)])
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["episode", "bench"])
+def test_planner_config_unknown_key_exits_naming_the_file(tmp_path, scenario_file, command):
+    path = tmp_path / "planner.json"
+    path.write_text(json.dumps({"iteration": 5}))
+    args = (["episode", "--scenario", scenario_file] if command == "episode"
+            else ["bench", "--methods", "oracle", "--episodes", "1"])
+    with pytest.raises(SystemExit, match=r"planner\.json: planner config: unknown key 'iteration'$"):
+        main(args + ["--planner-config", str(path), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -121,11 +122,11 @@ class TestGenerateDataset:
         path = tmp_path / "data.npz"
         ds.save(path)
         ds2 = ClearanceDataset.load(path)
-        assert len(ds2) == len(ds)
-        assert np.allclose(ds2.clearance, ds.clearance)
+        for f in fields(ClearanceDataset):
+            a, b = getattr(ds2, f.name), getattr(ds, f.name)
+            assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype, f.name
+            assert type(a) is type(b), f.name
         assert np.array_equal(ds2.safe, ds.safe)
-        assert ds2.d_o == ds.d_o and ds2.dt == ds.dt
-        assert np.allclose(ds2.clouds, ds.clouds, atol=1e-6)  # float32 storage
 
     def test_no_free_space_warns_and_skips(self):
         blocked = World(
@@ -138,6 +139,74 @@ class TestGenerateDataset:
             )
         assert ds.n_snapshots == 2
 
+
+def rewrite(path, **changes):
+    """Rewrite the npz at path with arrays replaced; a None value drops the array."""
+    arrays = dict(np.load(path))
+    for name, value in changes.items():
+        if value is None:
+            del arrays[name]
+        else:
+            arrays[name] = value
+    np.savez(path, **arrays)
+
+
+class TestDatasetFile:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        ds = small_dataset()
+        path = tmp_path / "data.npz"
+        ds.save(path)
+        return ds, path
+
+    def test_training_on_the_reloaded_copy_is_bit_identical(self, saved):
+        ds, path = saved
+        cfg = TrainConfig(epochs=2, seed=3)
+        a = train(ds, cfg, "augmented")
+        b = train(ClearanceDataset.load(path), cfg, "augmented")
+        assert np.array_equal(a.params.vector, b.params.vector)
+        assert np.array_equal(a.risk_head.vector, b.risk_head.vector)
+        assert a.log.rows == b.log.rows and a.meta == b.meta
+
+    def test_version_1_is_refused(self, saved):
+        ds, path = saved
+        # the layout of version 1: float32 clouds and controls, a stored safe column, a header
+        np.savez(path, version=np.array(1), clouds=ds.clouds.astype(np.float32), states=ds.states,
+                 snapshot=ds.snapshot.astype(np.int32), controls=ds.controls.astype(np.float32),
+                 clearance=ds.clearance, safe=ds.safe,
+                 header=np.array([ds.d_o, ds.dt, float(ds.seed), ds.fov, ds.max_range]))
+        with pytest.raises(ValueError, match=r"data\.npz: dataset version 1, expected 2; regenerate"):
+            ClearanceDataset.load(path)
+
+    @pytest.mark.parametrize("change, message", [
+        pytest.param({"controls": None}, "arrays: missing key 'controls'", id="missing-array"),
+        pytest.param({"seed": None}, "arrays: missing key 'seed'", id="missing-scalar"),
+        pytest.param({"safe": np.ones(300, np.uint8)}, "arrays: unknown key 'safe'", id="unknown-array"),
+        pytest.param({"states": np.zeros((12, 4))}, r"array states has shape \(12, 4\)", id="state-width"),
+        pytest.param({"states": np.zeros((11, 5))}, r"array states has shape \(11, 5\)",
+                     id="snapshot-count"),
+        pytest.param({"clouds": np.zeros((12, 299, 2))}, r"array clouds has shape \(12, 299, 2\)",
+                     id="cloud-size"),
+        pytest.param({"clearance": np.zeros(299)}, r"array clearance has shape \(299,\)",
+                     id="sample-count"),
+        pytest.param({"controls": np.zeros((300, 50))}, r"array controls has shape \(300, 50\)",
+                     id="control-axes"),
+        pytest.param({"dt": np.array([0.1])}, r"array dt has shape \(1,\)", id="scalar-shape"),
+        pytest.param({"snapshot": np.zeros(300)}, r"array snapshot must hold integer indices in \[0, 12\)",
+                     id="float-index"),
+        pytest.param({"snapshot": np.full(300, 12)}, r"array snapshot must hold integer indices in \[0, 12\)",
+                     id="index-above"),
+        pytest.param({"snapshot": np.full(300, -1)}, r"array snapshot must hold integer indices in \[0, 12\)",
+                     id="index-below"),
+        pytest.param({"clearance": np.full(300, np.nan)}, "array clearance contains non-finite values",
+                     id="nan-array"),
+        pytest.param({"d_o": np.array(np.inf)}, "array d_o contains non-finite values", id="inf-scalar"),
+    ])
+    def test_malformed_file_is_refused_naming_the_array(self, saved, change, message):
+        _, path = saved
+        rewrite(path, **change)
+        with pytest.raises(ValueError, match=r"data\.npz: " + message):
+            ClearanceDataset.load(path)
 
 class TestReparameterize:
     """The sampling path mu + sigma * eps -> violations max(0, d_o - d) shared by training and evaluation."""

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from clearnav.world import (
     scan_angles,
     scan_ranges,
     sensor_from_dict,
-    sensor_to_dict,
     standardize_cloud,
     true_clearance,
     world_from_dict,
@@ -360,4 +360,126 @@ class TestValidationAndIO:
     def test_dict_round_trip_box_world(self, box_world):
         assert world_to_dict(world_from_dict(world_to_dict(box_world))) == world_to_dict(box_world)
         cfg = SensorConfig()
-        assert sensor_from_dict(sensor_to_dict(cfg)) == cfg
+        assert sensor_from_dict(asdict(cfg)) == cfg
+
+    @pytest.mark.parametrize("args", [(math.nan, 0.0, 1.0), (0.0, math.inf, 1.0), (0.0, 0.0, math.nan),
+                                      (0.0, 0.0, math.inf)])
+    def test_circle_rejects_non_finite(self, args):
+        # a NaN radius would make every boundary distance max(0.0, nan) = 0.0
+        with pytest.raises(ValueError, match=r"Circle\.\w+ must be finite"):
+            Circle(*args)
+
+    @pytest.mark.parametrize("args", [(math.nan, 0.0, 1.0, 1.0), (0.0, 0.0, math.inf, 1.0),
+                                      (0.0, -math.inf, 1.0, 1.0), (0.0, 0.0, 1.0, math.nan)])
+    def test_box_rejects_non_finite(self, args):
+        with pytest.raises(ValueError, match=r"Box\.\w+ must be finite"):
+            Box(*args)
+
+    @pytest.mark.parametrize("bounds", [(0.0, 0.0, math.inf, 8.0), (-math.inf, 0.0, 10.0, 8.0),
+                                        (0.0, 0.0, 10.0, math.nan)])
+    def test_world_rejects_non_finite_bounds(self, bounds):
+        with pytest.raises(ValueError, match="bounds must form a finite nonempty rectangle"):
+            World((), bounds, RobotState(1.0, 1.0, 0.0), (2.0, 2.0))
+
+    @pytest.mark.parametrize("max_range", [math.nan, math.inf])
+    def test_sensor_rejects_non_finite_max_range(self, max_range):
+        with pytest.raises(ValueError, match="max_range"):
+            SensorConfig(max_range=max_range)
+
+    @pytest.mark.parametrize("name", ["range_bias_scale", "additive_sigma", "drift_timescale",
+                                      "dropout_prob"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_noise_model_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"NoiseModel.{name} must be finite"):
+            NoiseModel(**{name: value})
+
+
+def scenario_reference(world: World, sensor: SensorConfig, seed: int) -> str:
+    """The scenario file as the README documents it, spelled out key by key."""
+    s, noise = world.start, sensor.noise
+    obstacles = [{"type": "circle", "center": [ob.cx, ob.cy], "radius": ob.radius}
+                 if isinstance(ob, Circle) else
+                 {"type": "box", "min": [ob.xmin, ob.ymin], "max": [ob.xmax, ob.ymax]}
+                 for ob in world.obstacles]
+    doc = {
+        "seed": seed,
+        "world": {"bounds": list(world.bounds),
+                  "start": {"x": s.x, "y": s.y, "psi": s.psi, "v": s.v, "omega": s.omega},
+                  "goal": list(world.goal), "obstacles": obstacles},
+        "sensor": {"fov": sensor.fov, "n_rays": sensor.n_rays, "max_range": sensor.max_range,
+                   "noise": {"range_bias_scale": noise.range_bias_scale,
+                             "additive_sigma": noise.additive_sigma,
+                             "drift_timescale": noise.drift_timescale,
+                             "dropout_prob": noise.dropout_prob}},
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def scenario_doc(**changes) -> dict:
+    """A valid scenario document with `changes` applied at dotted paths; None deletes the key."""
+    doc = {
+        "seed": 3,
+        "world": {"bounds": [0.0, 0.0, 10.0, 8.0],
+                  "start": {"x": 1.0, "y": 1.0, "psi": 0.0},
+                  "goal": [9.0, 7.0],
+                  "obstacles": [{"type": "circle", "center": [5.0, 4.0], "radius": 0.5},
+                                {"type": "box", "min": [2.0, 5.0], "max": [3.0, 6.0]}]},
+        "sensor": {"n_rays": 60, "noise": {"additive_sigma": 0.02}},
+    }
+    for path, value in changes.items():
+        *parents, key = path.split(".")
+        node = doc
+        for p in parents:
+            node = node[int(p)] if isinstance(node, list) else node[p]
+        if value is None:
+            del node[key]
+        else:
+            node[key] = value
+    return doc
+
+
+# each section of a scenario: an unknown key, and a missing key it requires
+MALFORMED_SCENARIOS = [
+    pytest.param({"sensor.n_ray": 10}, "sensor: unknown key 'n_ray'", id="sensor-unknown"),
+    pytest.param({"sensor.noise.sigma": 0.1}, "noise: unknown key 'sigma'", id="noise-unknown"),
+    pytest.param({"world.start.vel": 0.5}, "start: unknown key 'vel'", id="start-unknown"),
+    pytest.param({"world.start.psi": None}, "start: missing key 'psi'", id="start-missing"),
+    pytest.param({"world.obstacles.0.radios": 0.5}, "circle: unknown key 'radios'", id="circle-unknown"),
+    pytest.param({"world.obstacles.0.radius": None}, "circle: missing key 'radius'", id="circle-missing"),
+    pytest.param({"world.obstacles.1.center": [1.0, 1.0]}, "box: unknown key 'center'",
+                 id="box-unknown"),
+    pytest.param({"world.obstacles.1.max": None}, "box: missing key 'max'", id="box-missing"),
+    pytest.param({"world.walls": []}, "world: unknown key 'walls'", id="world-unknown"),
+    pytest.param({"world.goal": None}, "world: missing key 'goal'", id="world-missing"),
+    pytest.param({"world": None}, "scenario: missing key 'world'", id="scenario-missing"),
+]
+
+
+class TestStrictScenario:
+    @pytest.mark.parametrize("world", ["empty_world", "circle_world", "box_world"])
+    def test_save_writes_the_documented_format(self, tmp_path, request, world):
+        world = request.getfixturevalue(world)
+        sensor = SensorConfig(noise=NoiseModel(range_bias_scale=0.2, dropout_prob=0.1))
+        path = tmp_path / "scenario.json"
+        save_scenario(path, world, sensor, seed=77)
+        assert path.read_text() == scenario_reference(world, sensor, 77)
+
+    def test_valid_document_loads_with_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario_doc(**{"world.obstacles": None, "note": "kept"})))
+        world, sensor, seed, extras = load_scenario(path)
+        assert sensor == SensorConfig(n_rays=60, noise=NoiseModel(additive_sigma=0.02))
+        assert world.start == RobotState(1.0, 1.0, 0.0) and world.obstacles == ()
+        assert (seed, extras) == (3, {"note": "kept"})
+
+    @pytest.mark.parametrize("change, message", MALFORMED_SCENARIOS)
+    def test_malformed_section_is_refused(self, tmp_path, change, message):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario_doc(**change)))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_scenario(path)
+
+    def test_sensor_keys_are_not_dropped(self):
+        with pytest.raises(ValueError, match="sensor: unknown key 'n_ray'"):
+            sensor_from_dict({"n_ray": 10, "maxrange": 2.0})
+        assert sensor_from_dict({"n_rays": 10, "max_range": 2.0}) == SensorConfig(n_rays=10, max_range=2.0)
