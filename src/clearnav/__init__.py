@@ -31,7 +31,6 @@ from .model import (
     worst_case_clearance,
 )
 from .risk import (
-    chance_probability_oracle,
     draw_dirac_samples,
     mmd_batch,
     residual,

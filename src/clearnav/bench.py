@@ -182,66 +182,6 @@ def model_from_checkpoint(path) -> LearnedModel:
     return LearnedModel(params, feat, meta["dt"])
 
 
-def learned_factory(model: LearnedModel, sigma_override: float | None = None):
-    """Predictor factory for the learned methods; optional forced spread (det)."""
-
-    def factory(std_cloud: np.ndarray, state: RobotState):
-        obs = model.featurizer.featurize(std_cloud, state)
-
-        def predictor(u_flat: np.ndarray):
-            mu, sigma, lam = predict_batch(model.params, obs, u_flat)
-            if sigma_override is not None:
-                sigma = np.full_like(sigma, sigma_override)
-            return mu, sigma, lam
-
-        return predictor
-
-    return factory
-
-
-def _cloud_clearance_predictor(cloud_world: np.ndarray, state: RobotState, sigma: float,
-                               lam: float, horizon: int, dt: float, cap: float):
-    # resolved at call time: a module-level binding here would bypass anything
-    # that replaces clearnav.model.worst_case_clearance (perfbench's span tracer)
-    from .model import worst_case_clearance
-
-    # standardize_cloud pads a short scan by resampling it with replacement, and
-    # the clearance is a minimum over (pose, point) pairs, which copies cannot move
-    cloud_world = np.unique(cloud_world, axis=0)
-    # every iteration of the plan call queries this cloud from this state
-    index = ClearanceIndex(state, cloud_world)
-
-    def predictor(u_flat: np.ndarray):
-        mu = worst_case_clearance(state, u_flat.reshape(-1, horizon, 2), cloud_world, dt, cap, index)
-        return mu, np.full_like(mu, sigma), np.full_like(mu, lam)
-
-    return predictor
-
-
-def oracle_factory(world: World, sensor: SensorConfig, cfg: PlannerConfig, ep: EpisodeConfig):
-    """Exact clearance against a fresh true scan from the current state."""
-    def factory(std_cloud: np.ndarray, state: RobotState):
-        cloud_world = body_to_world(raycast_scan(state, world, sensor), state)
-        return _cloud_clearance_predictor(
-            cloud_world, state, ep.oracle_sigma, DEFAULT_LAMBDA,
-            cfg.horizon, cfg.dt, sensor.max_range,
-        )
-
-    return factory
-
-
-def costmap_factory(sensor: SensorConfig, cfg: PlannerConfig, ep: EpisodeConfig):
-    """Trusts the noisy standardized cloud directly; near-deterministic check."""
-    def factory(std_cloud: np.ndarray, state: RobotState):
-        cloud_world = body_to_world(std_cloud, state)
-        return _cloud_clearance_predictor(
-            cloud_world, state, ep.det_sigma, DEFAULT_LAMBDA,
-            cfg.horizon, cfg.dt, sensor.max_range,
-        )
-
-    return factory
-
-
 def make_predictor_factory(
     method: str,
     world: World,
@@ -250,6 +190,11 @@ def make_predictor_factory(
     ep: EpisodeConfig,
     models: dict[str, LearnedModel] | None,
 ):
+    """(predictor factory, planner config) of a method; the only place a method becomes a predictor.
+
+    Learned methods featurize once per plan call (det forces augmented's spread to
+    ep.det_sigma); oracle and raw_costmap take the exact clearance against the true
+    scan or the noisy cloud, the latter under a fixed inflation."""
     models = models or {}
     _check_methods([method], models)
     if method in _MODEL_OF:
@@ -262,11 +207,42 @@ def make_predictor_factory(
                 f"max_range {feat.max_range} does not match planner horizon {cfg.horizon} "
                 f"dt {cfg.dt} and sensor fov {sensor.fov} max_range {sensor.max_range}"
             )
-        sigma_override = ep.det_sigma if method == "det" else None
-        return learned_factory(model, sigma_override=sigma_override), cfg
-    if method == "raw_costmap":
-        return costmap_factory(sensor, cfg, ep), replace(cfg, d_o=ep.costmap_inflation)
-    return oracle_factory(world, sensor, cfg, ep), cfg
+
+        def learned(std_cloud: np.ndarray, state: RobotState):
+            obs = feat.featurize(std_cloud, state)
+
+            def predictor(u_flat: np.ndarray):
+                mu, sigma, lam = predict_batch(model.params, obs, u_flat)
+                if method == "det":
+                    sigma = np.full_like(sigma, ep.det_sigma)
+                return mu, sigma, lam
+
+            return predictor
+
+        return learned, cfg
+
+    spread = ep.oracle_sigma if method == "oracle" else ep.det_sigma
+
+    def geometric(std_cloud: np.ndarray, state: RobotState):
+        # resolved at call time: a module-level binding here would bypass anything
+        # that replaces clearnav.model.worst_case_clearance (perfbench's span tracer)
+        from .model import worst_case_clearance
+
+        cloud = raycast_scan(state, world, sensor) if method == "oracle" else std_cloud
+        # standardize_cloud pads a short scan by resampling it with replacement, and
+        # the clearance is a minimum over (pose, point) pairs, which copies cannot move
+        cloud_world = np.unique(body_to_world(cloud, state), axis=0)
+        # every iteration of the plan call queries this cloud from this state
+        index = ClearanceIndex(state, cloud_world)
+
+        def predictor(u_flat: np.ndarray):
+            mu = worst_case_clearance(state, u_flat.reshape(-1, cfg.horizon, 2), cloud_world,
+                                      cfg.dt, sensor.max_range, index)
+            return mu, np.full_like(mu, spread), np.full_like(mu, DEFAULT_LAMBDA)
+
+        return predictor
+
+    return geometric, replace(cfg, d_o=ep.costmap_inflation) if method == "raw_costmap" else cfg
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,10 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    dataset = ClearanceDataset.load(args.data)
+    try:
+        dataset = ClearanceDataset.load(args.data)
+    except ValueError as e:  # its message names the file already
+        raise SystemExit(str(e)) from None
     cfg = TrainConfig(seed=args.seed, epochs=args.epochs, d_o=dataset.d_o)
     result = train(dataset, cfg, args.mode)
     save_checkpoint(args.out, result.params, result.risk_head, result.meta)

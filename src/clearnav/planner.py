@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import RobotState, clip_command_batch, rollout_batch, step
 from .risk import draw_dirac_samples, mmd_batch, residual
-from .world import BiasField, SensorConfig, World, estimated_scan, standardize_cloud
+from .world import BiasField, SensorConfig, World, _check_counts, estimated_scan, standardize_cloud
 
 # predictor: flat command batch (n, 2H) -> (mu, sigma, lam), each (n,)
 Predictor = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -53,10 +53,13 @@ class PlannerConfig:
     noise_correlation: float = 0.7
 
     def __post_init__(self):
+        _check_counts(self, "iterations", "samples", "risk_elites", "elites", "risk_draws", "horizon")
         if not self.samples >= self.risk_elites >= self.elites >= 1:
             raise ValueError("need samples >= risk_elites >= elites >= 1")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if self.risk_draws < 1:
+            raise ValueError("risk_draws must be >= 1")
         if min(self.w_state, self.w_risk, self.w_effort) < 0:
             raise ValueError("cost weights must be >= 0")
         if not 0.0 < self.smoothing <= 1.0:
@@ -67,6 +70,11 @@ class PlannerConfig:
             raise ValueError("horizon must be >= 1")
         if not self.dt > 0:
             raise ValueError("dt must be > 0")
+        if not self.d_o > 0:
+            raise ValueError("robot radius d_o must be > 0")
+        for name in ("init_var", "var_floor", "dirac_variance"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -213,7 +221,7 @@ def plan(
 # ---------------------------------------------------------------------------
 # Receding-horizon stepping
 
-@dataclass(eq=False)
+@dataclass(eq=False, kw_only=True)
 class SimState:
     """Mutable episode-side state threaded through mpc_step calls."""
 
@@ -221,7 +229,7 @@ class SimState:
     rng: np.random.Generator
     t: int = 0  # executed steps so far
     nu: np.ndarray | None = None  # warm start for the next plan call
-    bias: BiasField | None = None
+    bias: BiasField  # the sensor's drifting range bias over the episode
 
 
 # factory: (standardized cloud, current state) -> Predictor for this plan call

@@ -131,17 +131,3 @@ def _upward_pass(hbar, delta, lam):
     r[bad] = np.nan
     return r, (lam, flat, w, gap, decay, starts, run_w, up, below, clamped, bad)
 
-
-def chance_probability_oracle(
-    mu: float, sigma: float, d_o: float, n_draws: int, rng: np.random.Generator
-) -> float:
-    """Monte-Carlo estimate of P(d_o - d >= 0) for d ~ N(mu, sigma^2).
-
-    Validation-only reference; equals Phi((d_o - mu) / sigma) in expectation.
-    """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if n_draws < 1:
-        raise ValueError("n_draws must be >= 1")
-    d = rng.normal(mu, sigma, n_draws)
-    return float(np.mean(d_o - d >= 0.0))

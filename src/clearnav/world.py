@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
@@ -30,6 +31,14 @@ def _check_finite(obj) -> None:
     for f in fields(obj):
         if not math.isfinite(getattr(obj, f.name)):
             raise ValueError(f"{type(obj).__name__}.{f.name} must be finite")
+
+
+def _check_counts(obj, *names) -> None:
+    """Refuse a field of obj among `names` that is not an integer (a bool or 2.0 included)."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{type(obj).__name__}.{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -128,14 +137,6 @@ class NoiseModel:
         if self.drift_timescale < 1:
             raise ValueError("drift_timescale must be >= 1")
 
-    @property
-    def is_zero(self) -> bool:
-        return (
-            self.range_bias_scale == 0.0
-            and self.additive_sigma == 0.0
-            and self.dropout_prob == 0.0
-        )
-
 
 @dataclass(frozen=True)
 class SensorConfig:
@@ -147,6 +148,7 @@ class SensorConfig:
     def __post_init__(self):
         if not 0.0 < self.fov <= 2 * math.pi:
             raise ValueError("fov must be in (0, 2*pi]")
+        _check_counts(self, "n_rays")
         if self.n_rays < 1:
             raise ValueError("n_rays must be >= 1")
         if not (math.isfinite(self.max_range) and self.max_range > 0):
@@ -286,24 +288,21 @@ def estimated_scan(
     world: World,
     cfg: SensorConfig,
     rng: np.random.Generator,
+    bias: BiasField,
     t: int = 0,
-    bias: BiasField | None = None,
 ) -> np.ndarray:
     """Noisy scan: per hit ray, range -> range*(1 + b(theta, t)) + eta, then dropout.
 
-    b is the smooth angular bias field (shared across an episode via `bias`),
-    eta ~ N(0, additive_sigma^2). Results are clamped to (0, max_range]. A
-    zero NoiseModel reproduces raycast_scan exactly.
+    b is the smooth angular bias field `bias`, shared across an episode so that
+    it drifts rather than redraws; eta ~ N(0, additive_sigma^2). Results are
+    clamped to [1e-9, max_range], so a zero NoiseModel reproduces raycast_scan
+    exactly from any pose outside the obstacles.
     """
     noise = cfg.noise
     angles, ranges = scan_ranges(state, world, cfg)
     hit = np.isfinite(ranges)
     angles, ranges = angles[hit], ranges[hit]
-    if noise.is_zero:
-        return _polar_to_points(angles, ranges)
     if noise.range_bias_scale > 0.0:
-        if bias is None:
-            bias = BiasField(noise, seed=int(rng.integers(2**63)))
         ranges = ranges * (1.0 + bias.values(state.psi + angles, t))
     if noise.additive_sigma > 0.0:
         ranges = ranges + rng.normal(0.0, noise.additive_sigma, ranges.shape)
@@ -395,9 +394,15 @@ def world_to_dict(world: World) -> dict:
     }
 
 
+def _obstacles_from_list(obs) -> list[Obstacle]:
+    if not isinstance(obs, list) or not all(isinstance(d, dict) for d in obs):
+        raise ValueError("world: obstacles must be a list of objects")
+    return [obstacle_from_dict(d) for d in obs]
+
+
 def world_from_dict(d: dict) -> World:
     return _from_dict(World, {"obstacles": [], **d}, "world",  # obstacles may be left out
-                      obstacles=lambda obs: map(obstacle_from_dict, obs),
+                      obstacles=_obstacles_from_list,
                       start=lambda s: _from_dict(RobotState, s, "start"))
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import os
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from clearnav.bench import (
     EpisodeOutcome,
     LearnedModel,
     SuiteConfig,
-    costmap_factory,
     emit_traces,
     grid_path_exists,
     make_clutter_world,
@@ -28,9 +28,11 @@ from clearnav.bench import (
 )
 from clearnav.dynamics import RobotState
 from clearnav.model import (
+    DEFAULT_LAMBDA,
     ClearanceIndex,
     ModelParams,
     PolarFeaturizer,
+    predict_batch,
     save_checkpoint,
     worst_case_clearance,
 )
@@ -442,6 +444,41 @@ class TestBenchmark:
         assert rep.methods["oracle"]["max_speed"] == max(o["max_speed"] for o in outs)
 
 
+class TestPredictorFactory:
+    @pytest.mark.parametrize("method", bench.METHODS)
+    def test_each_method_predicts_and_configures_as_documented(self, method):
+        world = make_clutter_world(np.random.default_rng(42))
+        sensor, cfg = quiet(), fast_planner()
+        ep = EpisodeConfig(oracle_sigma=0.07, det_sigma=2e-6, costmap_inflation=0.45)
+        feat = PolarFeaturizer(sensor.fov, sensor.max_range, 32)
+        models = {key: LearnedModel(ModelParams.init(np.random.default_rng(seed), 34, cfg.horizon, hidden=8),
+                                    feat, cfg.dt)
+                  for seed, key in enumerate(("augmented", "baseline_nll"))}
+        rng = np.random.default_rng(1)
+        state = world.start
+        true_cloud = raycast_scan(state, world, sensor)
+        noisy = 0.9 * standardize_cloud(true_cloud, sensor, rng)  # a cloud unlike the true scan
+        u = rng.uniform([0.0, -1.0], [1.0, 1.0], (16, cfg.horizon, 2))
+
+        factory, method_cfg = make_predictor_factory(method, world, sensor, cfg, ep, models)
+        mu, sigma, lam = factory(noisy, state)(u.reshape(16, -1))
+        assert method_cfg == (replace(cfg, d_o=ep.costmap_inflation) if method == "raw_costmap" else cfg)
+        if method in ("oracle", "raw_costmap"):
+            cloud = true_cloud if method == "oracle" else noisy
+            assert np.array_equal(mu, worst_case_clearance(state, u, body_to_world(cloud, state), cfg.dt,
+                                                           sensor.max_range))
+            assert (sigma == (ep.oracle_sigma if method == "oracle" else ep.det_sigma)).all()
+            assert (lam == DEFAULT_LAMBDA).all()
+        else:
+            model = models["baseline_nll" if method == "baseline_nll" else "augmented"]
+            ref = predict_batch(model.params, feat.featurize(noisy, state), u.reshape(16, -1))
+            assert np.array_equal(mu, ref[0]) and np.array_equal(lam, ref[2])
+            if method == "det":
+                assert (sigma == ep.det_sigma).all()
+            else:
+                assert np.array_equal(sigma, ref[1])
+
+
 class TestCloudPredictor:
     def test_queries_distinct_points_with_equal_result(self, monkeypatch):
         world = make_clutter_world(np.random.default_rng(42))
@@ -459,7 +496,7 @@ class TestCloudPredictor:
 
         monkeypatch.setattr("clearnav.model.worst_case_clearance", spy)
         cfg = fast_planner()
-        factory = costmap_factory(sensor, cfg, EpisodeConfig())
+        factory = make_predictor_factory("raw_costmap", world, sensor, cfg, EpisodeConfig(), None)[0]
         u = rng.uniform([0.0, -1.0], [1.0, 1.0], (24, cfg.horizon, 2))
         predictor = factory(padded, state)
         mu = predictor(u.reshape(24, -1))[0]

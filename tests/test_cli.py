@@ -44,6 +44,16 @@ def test_gen_data_and_train(tmp_path):
     assert os.path.exists(str(tmp_path / "model_log.csv"))
 
 
+def test_train_on_a_refused_dataset_exits_with_the_loaders_message(tmp_path):
+    path = tmp_path / "old.npz"
+    np.savez(path, version=np.array(1))
+    # the loader's message names the file once; the command adds nothing to it
+    with pytest.raises(SystemExit, match=rf"^{path}: dataset version 1, expected 2; "
+                                         "regenerate it with clearnav gen-data$"):
+        main(["train", "--data", str(path), "--out", str(tmp_path / "model.npz"), "--epochs", "1"])
+    assert not (tmp_path / "model.npz").exists()
+
+
 def test_episode_and_replay(tmp_path, scenario_file, planner_file):
     out_dir = str(tmp_path / "traces")
     rc = main(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import clearnav.data
 import clearnav.model
-from clearnav.bench import EpisodeConfig, make_clutter_world, oracle_factory, run_episode
+from clearnav.bench import EpisodeConfig, make_clutter_world, make_predictor_factory, run_episode
 from clearnav.data import generate_dataset
 from clearnav.dynamics import RobotState, rollout_batch, sample_controls
 from clearnav.model import (
@@ -126,7 +126,8 @@ class TestOraclePredict:
 
     def predictor(self, world, state, sigma=0.05, sensor=None):
         sensor = sensor or SensorConfig()
-        factory = oracle_factory(world, sensor, PlannerConfig(), EpisodeConfig(oracle_sigma=sigma))
+        factory = make_predictor_factory("oracle", world, sensor, PlannerConfig(),
+                                         EpisodeConfig(oracle_sigma=sigma), None)[0]
         return factory(None, state)
 
     def test_empty_world_capped(self, rng):

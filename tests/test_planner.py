@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from clearnav.bench import EpisodeConfig, oracle_factory
+from clearnav.bench import EpisodeConfig, make_predictor_factory
 from clearnav.dynamics import RobotState, rollout_batch
 from clearnav.planner import (
     PlannerConfig,
@@ -14,7 +14,7 @@ from clearnav.planner import (
     plan,
     shift_warm_start,
 )
-from clearnav.world import NoiseModel, SensorConfig, World
+from clearnav.world import BiasField, NoiseModel, SensorConfig, World
 
 
 def fast_cfg(**kw) -> PlannerConfig:
@@ -25,7 +25,7 @@ def fast_cfg(**kw) -> PlannerConfig:
 
 def oracle_predictor(world, cfg, state=None, sigma=0.05):
     sensor = SensorConfig(noise=NoiseModel())
-    factory = oracle_factory(world, sensor, cfg, EpisodeConfig(oracle_sigma=sigma))
+    factory = make_predictor_factory("oracle", world, sensor, cfg, EpisodeConfig(oracle_sigma=sigma), None)[0]
     return factory(None, state or world.start)
 
 
@@ -139,11 +139,11 @@ class TestPlan:
         res = plan(empty_world.start, flaky, empty_world.goal, cfg, np.random.default_rng(0))
         assert np.isfinite(res.cost)
 
-    def test_nonpositive_radius_rejected(self, empty_world):
-        cfg = fast_cfg(d_o=0.0)
-        pred = oracle_predictor(empty_world, cfg)
-        with pytest.raises(ValueError, match="radius"):
-            plan(empty_world.start, pred, empty_world.goal, cfg, np.random.default_rng(0))
+    def test_nonpositive_radius_rejected(self):
+        # refused when the config is built, not in the first plan's residual
+        for d_o in (0.0, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="radius"):
+                fast_cfg(d_o=d_o)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -159,6 +159,29 @@ class TestPlan:
         # horizon 0 would fail deep in plan's reshape; dt <= 0 has no meaning
         with pytest.raises(ValueError, match=field):
             PlannerConfig(**{field: value})
+
+    @pytest.mark.parametrize("name", ["iterations", "samples", "risk_elites", "elites", "risk_draws",
+                                      "horizon"])
+    def test_counts_must_be_integers(self, name):
+        # a float count passes every comparison, then fails inside numpy mid-plan
+        n = getattr(fast_cfg(), name)
+        for value in (n + 0.5, float(n), np.float64(n), True):
+            with pytest.raises(ValueError, match=rf"^PlannerConfig\.{name} must be an integer"):
+                fast_cfg(**{name: value})
+        assert getattr(fast_cfg(**{name: np.int64(n)}), name) == n
+
+    def test_risk_draws_at_least_one(self):
+        # zero draws would fail in the first plan's draw_dirac_samples
+        for risk_draws in (0, -2):
+            with pytest.raises(ValueError, match="^risk_draws must be >= 1$"):
+                fast_cfg(risk_draws=risk_draws)
+
+    @pytest.mark.parametrize("name", ["init_var", "var_floor", "dirac_variance"])
+    def test_variances_nonnegative(self, name):
+        for value in (-1e-6, float("nan")):
+            with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+                fast_cfg(**{name: value})
+        assert getattr(fast_cfg(**{name: 0.0}), name) == 0.0
 
 
 class TestEliteSelection:
@@ -202,8 +225,8 @@ class TestMpcStep:
         world = World((), (-10, -5, 10, 5), RobotState(0, 0, 0), (-3.0, 0.0))
         sensor = SensorConfig(noise=NoiseModel())
         cfg = fast_cfg(iterations=6, samples=96)
-        factory = oracle_factory(world, sensor, cfg, EpisodeConfig())
-        sim = SimState(state=world.start, rng=np.random.default_rng(0))
+        factory = make_predictor_factory("oracle", world, sensor, cfg, EpisodeConfig(), None)[0]
+        sim = SimState(state=world.start, rng=np.random.default_rng(0), bias=BiasField(sensor.noise, 0))
         d0 = np.hypot(world.start.x + 3.0, world.start.y)
         for _ in range(30):
             mpc_step(sim, world, sensor, factory, world.goal, cfg, exec_horizon=5)
@@ -213,8 +236,8 @@ class TestMpcStep:
     def test_empty_world_episode_under_60s(self, empty_world):
         sensor = SensorConfig(noise=NoiseModel())
         cfg = fast_cfg()
-        factory = oracle_factory(empty_world, sensor, cfg, EpisodeConfig())
-        sim = SimState(state=empty_world.start, rng=np.random.default_rng(4))
+        factory = make_predictor_factory("oracle", empty_world, sensor, cfg, EpisodeConfig(), None)[0]
+        sim = SimState(state=empty_world.start, rng=np.random.default_rng(4), bias=BiasField(sensor.noise, 0))
         goal = np.asarray(empty_world.goal)
         for _ in range(120):  # 120 * 5 steps * 0.1 s = 60 s budget
             mpc_step(sim, empty_world, sensor, factory, goal, cfg, exec_horizon=5)
@@ -226,8 +249,8 @@ class TestMpcStep:
     def test_warm_start_threads_through(self, empty_world):
         sensor = SensorConfig(noise=NoiseModel())
         cfg = fast_cfg()
-        factory = oracle_factory(empty_world, sensor, cfg, EpisodeConfig())
-        sim = SimState(state=empty_world.start, rng=np.random.default_rng(0))
+        factory = make_predictor_factory("oracle", empty_world, sensor, cfg, EpisodeConfig(), None)[0]
+        sim = SimState(state=empty_world.start, rng=np.random.default_rng(0), bias=BiasField(sensor.noise, 0))
         _, res = mpc_step(sim, empty_world, sensor, factory, empty_world.goal, cfg, exec_horizon=2)
         assert np.array_equal(sim.nu, shift_warm_start(res.nu, 2))
         assert sim.t == 2

@@ -9,12 +9,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clearnav.risk import (
-    chance_probability_oracle,
     draw_dirac_samples,
     mmd_batch,
     mmd_batch_grad,
     residual,
 )
+
+
+def chance_probability_oracle(
+    mu: float, sigma: float, d_o: float, n_draws: int, rng: np.random.Generator
+) -> float:
+    """Monte-Carlo estimate of P(d_o - d >= 0) for d ~ N(mu, sigma^2).
+
+    The reference the risk's ranking is checked against; equals
+    Phi((d_o - mu) / sigma) in expectation.
+    """
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    if n_draws < 1:
+        raise ValueError("n_draws must be >= 1")
+    d = rng.normal(mu, sigma, n_draws)
+    return float(np.mean(d_o - d >= 0.0))
 
 
 def mmd_row(hbar, delta, lam):

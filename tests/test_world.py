@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clearnav.bench import EpisodeConfig, oracle_factory, suite_worlds
+from clearnav.bench import EpisodeConfig, make_predictor_factory, suite_worlds
 from clearnav.data import generate_dataset
 from clearnav.dynamics import RobotState
 from clearnav.planner import PlannerConfig, SimState, mpc_step
@@ -230,8 +230,8 @@ class TestScanRanges:
         sensor = SensorConfig(noise=NoiseModel(additive_sigma=0.02))
         cfg = PlannerConfig(iterations=2, samples=32, risk_elites=16, elites=8, risk_draws=10,
                             horizon=10, seed=0)
-        factory = oracle_factory(world, sensor, cfg, EpisodeConfig())
-        sim = SimState(state=world.start, rng=np.random.default_rng(0))
+        factory = make_predictor_factory("oracle", world, sensor, cfg, EpisodeConfig(), None)[0]
+        sim = SimState(state=world.start, rng=np.random.default_rng(0), bias=BiasField(sensor.noise, 0))
         scan_ranges.cache_clear()
         mpc_step(sim, world, sensor, factory, world.goal, cfg)
         info = scan_ranges.cache_info()
@@ -242,7 +242,8 @@ class TestEstimatedScan:
     def test_zero_noise_identical(self, circle_world, quiet_sensor):
         state = RobotState(0, 0.1, 0.05)
         a = raycast_scan(state, circle_world, quiet_sensor)
-        b = estimated_scan(state, circle_world, quiet_sensor, np.random.default_rng(0))
+        b = estimated_scan(state, circle_world, quiet_sensor, np.random.default_rng(0),
+                           BiasField(quiet_sensor.noise, 0))
         assert np.array_equal(a, b)
 
     def test_additive_noise_mean(self):
@@ -251,13 +252,14 @@ class TestEstimatedScan:
         cfg = SensorConfig(
             fov=0.01, n_rays=10_000, max_range=5.0, noise=NoiseModel(additive_sigma=0.2)
         )
-        cloud = estimated_scan(world.start, world, cfg, np.random.default_rng(7))
+        cloud = estimated_scan(world.start, world, cfg, np.random.default_rng(7), BiasField(cfg.noise, 0))
         ranges = np.hypot(cloud[:, 0], cloud[:, 1])
         assert ranges.mean() == pytest.approx(2.0, abs=0.01)
 
     def test_full_dropout_empty(self, circle_world):
         cfg = SensorConfig(n_rays=50, noise=NoiseModel(dropout_prob=1.0))
-        cloud = estimated_scan(circle_world.start, circle_world, cfg, np.random.default_rng(0))
+        cloud = estimated_scan(circle_world.start, circle_world, cfg, np.random.default_rng(0),
+                               BiasField(cfg.noise, 0))
         assert cloud.shape == (0, 2)
 
     def test_bias_field_reproducible_and_smooth(self):
@@ -342,6 +344,13 @@ class TestValidationAndIO:
             SensorConfig(fov=0.0)
         with pytest.raises(ValueError):
             SensorConfig(n_rays=0)
+
+    def test_sensor_ray_count_must_be_an_integer(self):
+        # a float count passes `n_rays >= 1`, then fails in scan_angles' linspace mid-episode
+        for n_rays in (2.5, 60.0, np.float64(60.0), True):
+            with pytest.raises(ValueError, match=r"^SensorConfig\.n_rays must be an integer"):
+                SensorConfig(n_rays=n_rays)
+        assert SensorConfig(n_rays=np.int64(60)).n_rays == 60
 
     def test_world_validate_rejects_blocked_start(self):
         world = World((Circle(0.0, 0.0, 1.0),), (-5, -5, 5, 5), RobotState(0.5, 0, 0), (4, 4))
@@ -452,6 +461,12 @@ MALFORMED_SCENARIOS = [
     pytest.param({"world.walls": []}, "world: unknown key 'walls'", id="world-unknown"),
     pytest.param({"world.goal": None}, "world: missing key 'goal'", id="world-missing"),
     pytest.param({"world": None}, "scenario: missing key 'world'", id="scenario-missing"),
+    pytest.param({"world.obstacles": [5]}, "world: obstacles must be a list of objects",
+                 id="obstacle-not-object"),
+    pytest.param({"world.obstacles": {"type": "circle", "center": [5.0, 4.0], "radius": 0.5}},
+                 "world: obstacles must be a list of objects", id="obstacles-not-list"),
+    pytest.param({"sensor.n_rays": 2.5}, r"SensorConfig\.n_rays must be an integer, got 2\.5",
+                 id="sensor-float-count"),
 ]
 
 
