@@ -41,6 +41,14 @@ def _or_exit(path, call, *args):
         raise SystemExit(f"{path}: {e}") from None
 
 
+def _load(load, path):
+    """load(path); a ValueError from it, whose message names the file, exits with that one line."""
+    try:
+        return load(path)
+    except ValueError as e:
+        raise SystemExit(str(e)) from None
+
+
 def _planner_from_json(path) -> PlannerConfig:
     if path is None:
         return PlannerConfig()
@@ -66,10 +74,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    try:
-        dataset = ClearanceDataset.load(args.data)
-    except ValueError as e:  # its message names the file already
-        raise SystemExit(str(e)) from None
+    dataset = _load(ClearanceDataset.load, args.data)
     cfg = TrainConfig(seed=args.seed, epochs=args.epochs, d_o=dataset.d_o)
     result = train(dataset, cfg, args.mode)
     save_checkpoint(args.out, result.params, result.risk_head, result.meta)
@@ -109,7 +114,7 @@ def cmd_episode(args) -> int:
         seed = args.seed
     cfg = _or_exit(args.planner_config, _planner_from_json, args.planner_config)
     _or_exit(args.scenario, world.validate, cfg.d_o)
-    models = {key: model_from_checkpoint(path)
+    models = {key: _load(model_from_checkpoint, path)
               for key, path in _checkpoint_paths(args, [args.method]).items()}
     out = run_episode(world, args.method, seed, sensor, cfg, EpisodeConfig(), models)
     csv_path, replay_path = emit_traces(out, args.out, stem=f"{args.method}")
@@ -124,6 +129,8 @@ def cmd_episode(args) -> int:
 def cmd_bench(args) -> int:
     methods = args.methods.split(",")
     model_paths = _checkpoint_paths(args, methods)
+    for path in model_paths.values():  # run_benchmark loads them again; this refuses one in one line
+        _load(model_from_checkpoint, path)
     sensor = _default_sensor(noisy=not args.no_noise)
     report = run_benchmark(
         methods,

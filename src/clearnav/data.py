@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .dynamics import RobotState, sample_controls
-from .model import worst_case_clearance
+from .model import _stored, worst_case_clearance
 from .world import (
     CLOUD_SIZE,
     BiasField,
@@ -70,11 +70,11 @@ class ClearanceDataset:
 
     @classmethod
     def load(cls, path) -> "ClearanceDataset":
-        """Read a dataset `save` wrote; a wrong version, key set, shape, index
-        or non-finite value raises ValueError naming the file and the array."""
+        """Read a dataset `save` wrote; a missing or wrong version, key set, shape,
+        index or non-finite value raises ValueError naming the file and the array."""
         names = [f.name for f in fields(cls)]
         with np.load(path) as z:
-            version = int(z["version"])
+            version = int(_stored(path, z, "version"))
             if version != DATASET_VERSION:
                 raise ValueError(f"{path}: dataset version {version}, expected {DATASET_VERSION}; "
                                  "regenerate it with clearnav gen-data")

@@ -10,7 +10,6 @@ V_MIN = 0.0
 V_MAX = 1.0
 OMEGA_MAX = 1.0
 DEFAULT_HORIZON = 50
-_COMMAND_BOUNDS = np.array([[V_MIN, -OMEGA_MAX], [V_MAX, OMEGA_MAX]])  # rows low, high; columns v, omega
 
 
 @dataclass(frozen=True)
@@ -86,5 +85,11 @@ def sample_controls(rng: np.random.Generator, n: int, horizon: int = DEFAULT_HOR
 def clip_command_batch(raw: np.ndarray) -> np.ndarray:
     """Clamp flat (n, 2H) rows [v_0, w_0, v_1, w_1, ...] to the command bounds,
     into a new array; raw is left unchanged."""
-    lo, hi = np.tile(_COMMAND_BOUNDS, raw.shape[1] // 2)
-    return np.clip(raw, lo, hi)
+    out = np.empty(raw.shape)
+    # maximum then minimum, as np.clip with array bounds does: np.clip with
+    # scalar bounds would keep a -0.0 speed where this returns 0.0
+    for col, lo, hi in ((0, V_MIN, V_MAX), (1, -OMEGA_MAX, OMEGA_MAX)):
+        o = out[:, col::2]
+        np.maximum(raw[:, col::2], lo, out=o)
+        np.minimum(o, hi, out=o)
+    return out

@@ -479,11 +479,18 @@ def save_checkpoint(
     np.savez(path, **payload)
 
 
+def _stored(path, z, key: str) -> np.ndarray:
+    """The array `key` of the open npz z, or a ValueError naming the file and the missing array."""
+    if key not in z:
+        raise ValueError(f"{path}: arrays: missing key {key!r}")
+    return z[key]
+
+
 def _checked_vector(path, z, keys, shapes, source: str) -> np.ndarray:
     """Concatenate the stored arrays after checking each shape and that every value is finite."""
     parts = []
     for key, shape in zip(keys, shapes):
-        arr = z[key]
+        arr = _stored(path, z, key)
         if arr.shape != shape:
             raise ValueError(f"{path}: array {key} has shape {arr.shape}, but {source} need {shape}")
         if not np.isfinite(arr).all():
@@ -495,15 +502,16 @@ def _checked_vector(path, z, keys, shapes, source: str) -> np.ndarray:
 def load_checkpoint(path) -> tuple[ModelParams, RiskHeadParams | None, dict]:
     """Load (params, risk_head, meta) from an npz checkpoint.
 
-    Rejects an unknown version, arrays whose shapes disagree with the stored
-    n_features / horizon / hidden (or, for the risk head, with the size of
-    rh_v1), and non-finite weights, naming the file and the array.
+    Rejects a missing array, an unknown version, arrays whose shapes disagree
+    with the stored n_features / horizon / hidden (or, for the risk head, with
+    the size of rh_v1), and non-finite weights, naming the file and the array.
     """
     with np.load(path) as z:
-        version = int(z["version"])
+        version = int(_stored(path, z, "version"))
         if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        n_features, horizon, hidden = int(z["n_features"]), int(z["horizon"]), int(z["hidden"])
+            raise ValueError(f"{path}: unsupported checkpoint version {version}, "
+                             f"expected {CHECKPOINT_VERSION}")
+        n_features, horizon, hidden = (int(_stored(path, z, k)) for k in ("n_features", "horizon", "hidden"))
         source = f"n_features={n_features}, horizon={horizon}, hidden={hidden}"
         vector = _checked_vector(
             path, z, ModelParams.names, _model_shapes(n_features, horizon, hidden), source

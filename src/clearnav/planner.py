@@ -7,9 +7,20 @@ empirical MMD, keeps the lowest-risk subset, ranks it by total cost
 smoothed elite statistics. The best sample ever seen is retained and
 returned, which makes the per-call best cost non-increasing by construction
 (checked every iteration; a regression raises PlanningError).
+
+Importing this module changes how the host process's malloc returns memory:
+on Linux with glibc it calls mallopt(M_TOP_PAD, 64 MiB) once, for the whole
+process. A plan call frees a few MB of numpy temporaries per iteration; by
+default glibc trims that top of the heap back to the kernel and the next
+iteration faults it in again, page by page (~2k minor faults per plan call
+of 192 samples x 10 iterations). With the pad, up to 64 MiB of freed heap stays mapped for reuse;
+the address space is reserved, not touched, so resident memory grows by
+about 1 MB. Where mallopt is missing the import does nothing to malloc.
 """
 from __future__ import annotations
 
+import ctypes
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -18,6 +29,24 @@ import numpy as np
 from .dynamics import RobotState, clip_command_batch, rollout_batch, step
 from .risk import draw_dirac_samples, mmd_batch, residual
 from .world import BiasField, SensorConfig, World, _check_counts, estimated_scan, standardize_cloud
+
+_M_TOP_PAD = -2  # glibc <malloc.h>
+_TOP_PAD_BYTES = 64 << 20
+
+
+def _keep_freed_heap_mapped() -> None:
+    """Ask glibc to keep _TOP_PAD_BYTES of freed heap top mapped; see the module docstring."""
+    if not sys.platform.startswith("linux"):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TOP_PAD, _TOP_PAD_BYTES)
+
+
+_keep_freed_heap_mapped()
 
 # predictor: flat command batch (n, 2H) -> (mu, sigma, lam), each (n,)
 Predictor = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]

@@ -67,10 +67,8 @@ def mmd_batch_grad(hbar: np.ndarray, delta: np.ndarray,
     # above[k] = sum over z_j > z_k of w_j K(z_j, z_k),
     # dist[k] = sum over z_j < z_k of w_j (z_k - z_j) K(z_j, z_k)
     above, dist = np.zeros((2, m, b))
-    for k in range(1, m):
-        dist[k] = decay[k - 1] * (dist[k - 1] + step[k - 1])
-        j = m - 1 - k
-        above[j] = decay[j] * (above[j + 1] + down[j + 1])
+    _recur(list(dist), step, decay)
+    _recur(list(above)[::-1], down[::-1], decay[::-1])  # the same recurrence, run downwards
     g = np.empty((m, b))
     g.ravel()[flat] = below - above
 
@@ -122,8 +120,7 @@ def _upward_pass(hbar, delta, lam):
 
     # below[k] = sum over z_j < z_k of w_j K(z_j, z_k)
     below = np.zeros((2 * n, b))
-    for k in range(1, 2 * n):
-        below[k] = decay[k - 1] * (below[k - 1] + up[k - 1])
+    _recur(list(below), up, decay)
 
     r = (w * (run_w + 2.0 * below)).sum(axis=0) / float(n * n)
     clamped = r <= 0.0
@@ -131,3 +128,10 @@ def _upward_pass(hbar, delta, lam):
     r[bad] = np.nan
     return r, (lam, flat, w, gap, decay, starts, run_w, up, below, clamped, bad)
 
+
+def _recur(rows, add, decay) -> None:
+    """rows[k] = decay[k - 1] * (rows[k - 1] + add[k - 1]) for k >= 1, in place;
+    rows is a list of row views, so the loop allocates nothing."""
+    for prev, cur, a, d in zip(rows, rows[1:], add, decay):
+        np.add(prev, a, out=cur)
+        np.multiply(d, cur, out=cur)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,23 @@ def test_learned_method_without_checkpoint_names_the_flag(tmp_path, scenario_fil
     with pytest.raises(SystemExit, match=f"method {method!r} needs .* give it with {flag}$"):
         main(["bench", "--methods", f"oracle,{method}", "--episodes", "1", "--out", str(tmp_path)])
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("arrays, message", [
+    pytest.param({"hidden": np.array(64)}, "arrays: missing key 'version'", id="no-version"),
+    pytest.param({"version": np.array(9)}, "unsupported checkpoint version 9, expected 1", id="version-9"),
+])
+@pytest.mark.parametrize("command", ["episode", "bench"])
+def test_refused_checkpoint_exits_with_the_loaders_line(tmp_path, scenario_file, planner_file, command,
+                                                       arrays, message):
+    path = tmp_path / "model.npz"
+    np.savez(path, **arrays)
+    args = (["episode", "--scenario", scenario_file, "--method", "augmented"] if command == "episode"
+            else ["bench", "--methods", "oracle,augmented", "--episodes", "1"])
+    with pytest.raises(SystemExit, match=rf"^{re.escape(str(path))}: {message}$"):
+        main(args + ["--checkpoint", str(path), "--planner-config", planner_file,
+                     "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("change, message", MALFORMED_SCENARIOS)

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clearnav.dynamics import RobotState, clip_command_batch, rollout_batch, sample_controls
+from clearnav.dynamics import (
+    OMEGA_MAX,
+    V_MAX,
+    V_MIN,
+    RobotState,
+    clip_command_batch,
+    rollout_batch,
+    sample_controls,
+)
 
 
 def within_bounds(commands) -> bool:
@@ -105,6 +113,18 @@ class TestClipControls:
 
     def test_lower_clamp_on_v(self):
         assert clip_command_batch(np.array([[-0.3, 0.5]]))[0] == pytest.approx([0.0, 0.5])
+
+    @pytest.mark.parametrize("n, horizon", [(1, 1), (1, 7), (3, 50), (192, 50)])
+    def test_equals_clip_against_tiled_bounds_bit_for_bit(self, rng, n, horizon):
+        # -0.0 speeds come out as 0.0, as np.clip with array bounds returns them
+        special = np.repeat([-0.0, np.nan, np.inf, -np.inf, 0.0, 1.0, -1.0], 2)  # in a v and an omega column
+        raw = rng.normal(0.5, 2.0, (n, 2 * horizon))
+        k = min(raw.size, special.size)
+        raw.ravel()[:k] = special[:k]
+        before = raw.copy()
+        bounds = np.array([[V_MIN, -OMEGA_MAX], [V_MAX, OMEGA_MAX]])
+        assert clip_command_batch(raw).tobytes() == np.clip(raw, *np.tile(bounds, horizon)).tobytes()
+        assert raw.tobytes() == before.tobytes()
 
     @given(st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), min_size=1, max_size=60))
     @settings(max_examples=50, deadline=None)

@@ -475,11 +475,11 @@ class TestClearanceIndex:
 
 class TestCheckpoint:
     def save(self, path, params=None, phi=None, **replace):
-        """Save a checkpoint, then overwrite the named stored arrays."""
+        """Save a checkpoint, then overwrite the named stored arrays; a None value drops the array."""
         save_checkpoint(path, params or make_params(), phi, None)
         data = dict(np.load(path))
         data.update(replace)
-        np.savez(path, **data)
+        np.savez(path, **{k: v for k, v in data.items() if v is not None})
 
     def test_round_trip(self, tmp_path, rng):
         params = make_params(seed=5)
@@ -496,7 +496,14 @@ class TestCheckpoint:
     def test_version_rejected(self, tmp_path):
         path = tmp_path / "model.npz"
         self.save(path, version=np.array(99))
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(ValueError, match=r"model\.npz: unsupported checkpoint version 99, expected 1$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["version", "hidden", "w2", "rh_v2"])
+    def test_missing_array_is_refused_naming_the_file(self, tmp_path, rng, key):
+        path = tmp_path / "model.npz"
+        self.save(path, phi=RiskHeadParams.init(rng, 16), **{key: None})
+        with pytest.raises(ValueError, match=rf"model\.npz: arrays: missing key '{key}'$"):
             load_checkpoint(path)
 
     def test_vector_round_trip(self):

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import ctypes
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import clearnav
 from clearnav.bench import EpisodeConfig, make_predictor_factory
 from clearnav.dynamics import RobotState, rollout_batch
 from clearnav.planner import (
@@ -254,3 +260,46 @@ class TestMpcStep:
         _, res = mpc_step(sim, empty_world, sensor, factory, empty_world.goal, cfg, exec_horizon=2)
         assert np.array_equal(sim.nu, shift_warm_start(res.nu, 2))
         assert sim.t == 2
+
+
+# perfbench's planner shape, planned with a synthetic predictor in a fresh
+# interpreter, so that earlier tests cannot have raised glibc's dynamic
+# mmap and trim thresholds already
+_FAULT_SCRIPT = """
+import resource
+import numpy as np
+from clearnav.dynamics import RobotState
+from clearnav.planner import PlannerConfig, plan
+
+cfg = PlannerConfig(iterations=10, samples=192, risk_elites=48, elites=16, risk_draws=30,
+                    horizon=50)
+weights = np.random.default_rng(0).normal(0.0, 0.1, (2 * cfg.horizon, 3))
+
+def predictor(u):
+    out = np.tanh(u @ weights)
+    return 0.3 + 0.2 * out[:, 0], 0.1 + 0.05 * out[:, 1], 0.2 + 0.1 * out[:, 2]
+
+rng = np.random.default_rng(0)
+start = RobotState(0.0, 0.0, 0.0)
+for _ in range(2):
+    plan(start, predictor, (5.0, 0.0), cfg, rng)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    plan(start, predictor, (5.0, 0.0), cfg, rng)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+"""
+
+
+def _has_mallopt() -> bool:
+    return sys.platform.startswith("linux") and getattr(ctypes.CDLL(None), "mallopt", None) is not None
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the heap pad needs glibc's mallopt")
+def test_plan_calls_do_not_refault_the_heap():
+    # without the pad set on import, glibc trims the freed heap top after every
+    # iteration and each call faults ~2k pages back in
+    src = os.path.dirname(os.path.dirname(os.path.abspath(clearnav.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _FAULT_SCRIPT], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert float(out.stdout) < 100

@@ -179,6 +179,7 @@ class TestDatasetFile:
             ClearanceDataset.load(path)
 
     @pytest.mark.parametrize("change, message", [
+        pytest.param({"version": None}, "arrays: missing key 'version'", id="missing-version"),
         pytest.param({"controls": None}, "arrays: missing key 'controls'", id="missing-array"),
         pytest.param({"seed": None}, "arrays: missing key 'seed'", id="missing-scalar"),
         pytest.param({"safe": np.ones(300, np.uint8)}, "arrays: unknown key 'safe'", id="unknown-array"),
