@@ -44,6 +44,8 @@ from .world import (
     NoiseModel,
     SensorConfig,
     World,
+    _check_counts,
+    _check_keys,
     body_to_world,
     raycast_scan,
     true_clearance,
@@ -107,8 +109,7 @@ class EpisodeConfig:
     costmap_inflation: float = 0.4  # fixed inflation for the raw-costmap baseline
 
     def __post_init__(self):
-        if self.exec_horizon < 1:
-            raise ValueError("exec_horizon must be >= 1")
+        _check_counts(self, "exec_horizon")
 
 
 @dataclass(eq=False)
@@ -571,14 +572,24 @@ def emit_traces(outcome: EpisodeOutcome, out_dir, stem: str = "episode") -> tupl
 
 
 def replay_trajectory(replay_path) -> tuple[World, np.ndarray]:
-    """Re-simulate the recorded commands; returns (world, states (n+1, 5))."""
-    with open(replay_path) as f:
-        doc = json.load(f)
-    world = world_from_dict(doc["world"])
-    dt = float(doc["dt"])
+    """Re-simulate the recorded commands; returns (world, states (n+1, 5)). An unknown or missing
+    key, a bad world, a dt not finite and > 0, or commands not a finite (n, 2) array raise
+    ValueError naming the file."""
+    try:
+        with open(replay_path) as f:
+            doc = json.load(f)
+        _check_keys("replay", doc, ("world", "method", "seed", "result", "dt", "commands"))
+        world, dt = world_from_dict(doc["world"]), float(doc["dt"])
+        commands = np.asarray(doc["commands"], dtype=float)
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"replay: dt must be finite and > 0, got {dt}")
+        if commands.ndim != 2 or commands.shape[1] != 2 or not np.isfinite(commands).all():
+            raise ValueError("replay: commands must be a finite (n, 2) array")
+    except (ValueError, TypeError) as e:
+        raise ValueError(f"{replay_path}: {e}") from None
     s = world.start
     states = [s.as_array()]
-    for v, w in doc["commands"]:
+    for v, w in commands.tolist():
         s = step(s, v, w, dt)
         states.append(s.as_array())
     return world, np.asarray(states)

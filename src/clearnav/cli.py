@@ -25,7 +25,7 @@ from .bench import (
 from .data import ClearanceDataset, generate_dataset
 from .model import save_checkpoint
 from .planner import PlannerConfig
-from .training import TrainConfig, train
+from .training import MODES, TrainConfig, train
 from .world import NoiseModel, SensorConfig, _from_dict, load_scenario
 
 
@@ -34,19 +34,14 @@ def _default_sensor(noisy: bool = True) -> SensorConfig:
 
 
 def _or_exit(path, call, *args):
-    """call(*args); a ValueError or TypeError from it exits with the file name and the reason."""
+    """call(*args); a ValueError, TypeError or OSError from it exits with one line naming `path` once."""
     try:
         return call(*args)
+    except OSError as e:
+        raise SystemExit(f"{path}: {e.strerror or e}") from None
     except (ValueError, TypeError) as e:
-        raise SystemExit(f"{path}: {e}") from None
-
-
-def _load(load, path):
-    """load(path); a ValueError from it, whose message names the file, exits with that one line."""
-    try:
-        return load(path)
-    except ValueError as e:
-        raise SystemExit(str(e)) from None
+        message = str(e)
+        raise SystemExit(message if message.startswith(f"{path}: ") else f"{path}: {message}") from None
 
 
 def _planner_from_json(path) -> PlannerConfig:
@@ -74,7 +69,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    dataset = _load(ClearanceDataset.load, args.data)
+    dataset = _or_exit(args.data, ClearanceDataset.load, args.data)
     cfg = TrainConfig(seed=args.seed, epochs=args.epochs, d_o=dataset.d_o)
     result = train(dataset, cfg, args.mode)
     save_checkpoint(args.out, result.params, result.risk_head, result.meta)
@@ -114,7 +109,7 @@ def cmd_episode(args) -> int:
         seed = args.seed
     cfg = _or_exit(args.planner_config, _planner_from_json, args.planner_config)
     _or_exit(args.scenario, world.validate, cfg.d_o)
-    models = {key: _load(model_from_checkpoint, path)
+    models = {key: _or_exit(path, model_from_checkpoint, path)
               for key, path in _checkpoint_paths(args, [args.method]).items()}
     out = run_episode(world, args.method, seed, sensor, cfg, EpisodeConfig(), models)
     csv_path, replay_path = emit_traces(out, args.out, stem=f"{args.method}")
@@ -130,7 +125,7 @@ def cmd_bench(args) -> int:
     methods = args.methods.split(",")
     model_paths = _checkpoint_paths(args, methods)
     for path in model_paths.values():  # run_benchmark loads them again; this refuses one in one line
-        _load(model_from_checkpoint, path)
+        _or_exit(path, model_from_checkpoint, path)
     sensor = _default_sensor(noisy=not args.no_noise)
     report = run_benchmark(
         methods,
@@ -151,7 +146,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    world, states = replay_trajectory(args.replay)
+    world, states = _or_exit(args.replay, replay_trajectory, args.replay)
     end = states[-1]
     print(f"replayed {states.shape[0] - 1} steps; final pose ({end[0]:.3f}, {end[1]:.3f}, {end[2]:.3f})")
     if args.out:
@@ -174,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="train the clearance model")
     t.add_argument("--data", required=True)
-    t.add_argument("--mode", choices=("baseline", "augmented", "nll_sigma_penalty"), default="augmented")
+    t.add_argument("--mode", choices=MODES, default="augmented")
     t.add_argument("--out", required=True)
     t.add_argument("--epochs", type=int, default=60)
     t.add_argument("--seed", type=int, default=0)

@@ -14,16 +14,16 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .dynamics import RobotState, sample_controls
-from .model import _stored, worst_case_clearance
+from .model import worst_case_clearance
 from .world import (
     CLOUD_SIZE,
     BiasField,
     SensorConfig,
     World,
-    _check_keys,
     body_to_world,
     estimated_scan,
     raycast_scan,
+    read_npz,
     standardize_cloud,
     true_clearance,
 )
@@ -70,27 +70,12 @@ class ClearanceDataset:
 
     @classmethod
     def load(cls, path) -> "ClearanceDataset":
-        """Read a dataset `save` wrote; a missing or wrong version, key set, shape,
-        index or non-finite value raises ValueError naming the file and the array."""
-        names = [f.name for f in fields(cls)]
-        with np.load(path) as z:
-            version = int(_stored(path, z, "version"))
-            if version != DATASET_VERSION:
-                raise ValueError(f"{path}: dataset version {version}, expected {DATASET_VERSION}; "
-                                 "regenerate it with clearnav gen-data")
-            _check_keys(f"{path}: arrays", [k for k in z.files if k != "version"], names)
-            arrays = {name: z[name] for name in names}
-        lengths: dict[str, int] = {}  # of each named axis, set by the first array that has it
-        for f in fields(cls):
-            arr, axes = arrays[f.name], f.metadata.get("axes", ())
-            expected = tuple(lengths.setdefault(axis, n) if isinstance(axis, str) else axis
-                             for axis, n in zip(axes, arr.shape))
-            if arr.ndim != len(axes) or arr.shape != expected:
-                raise ValueError(f"{path}: array {f.name} has shape {arr.shape}, expected "
-                                 f"{axes} with the axis lengths {lengths}")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{path}: array {f.name} contains non-finite values")
-        snapshot, n = arrays["snapshot"], lengths["snapshots"]
+        """Read a dataset `save` wrote, strictly (see world.read_npz); a snapshot
+        index out of range also raises ValueError naming the file and the array."""
+        axes = {f.name: f.metadata.get("axes", ()) for f in fields(cls)}
+        arrays = read_npz(path, "dataset", DATASET_VERSION, axes,
+                          advice="; regenerate it with clearnav gen-data")
+        snapshot, n = arrays["snapshot"], arrays["states"].shape[0]
         if snapshot.dtype.kind not in "iu" or snapshot.size and not 0 <= snapshot.min() <= snapshot.max() < n:
             raise ValueError(f"{path}: array snapshot must hold integer indices in [0, {n})")
         return cls(**{k: v.item() if v.ndim == 0 else v for k, v in arrays.items()})

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import RobotState
+from .world import read_npz
 
 LAMBDA_FLOOR = 1e-3  # kernel width lower bound (m)
 DEFAULT_LAMBDA = 0.1  # width used when no learned head is available
@@ -67,17 +68,6 @@ class PolarFeaturizer:
         return np.concatenate([feats, [float(state.v), float(state.omega)]])
 
 
-def _model_shapes(n_features: int, horizon: int, hidden: int) -> tuple[tuple[int, ...], ...]:
-    """Shapes of w1, b1, w2, b2, w3, b3."""
-    n_in = n_features + 2 * horizon
-    return ((hidden, n_in), (hidden,), (hidden, hidden), (hidden,), (3, hidden), (3,))
-
-
-def _risk_head_shapes(hidden: int) -> tuple[tuple[int, ...], ...]:
-    """Shapes of v1, c1, v2, c2."""
-    return ((hidden,), (hidden,), (2, hidden), (2,))
-
-
 class _FlatParams:
     """Parameters held in one flat vector; each named array is a view into it.
 
@@ -86,16 +76,18 @@ class _FlatParams:
     `vector`.
     """
 
-    names: tuple[str, ...] = ()
+    axes: dict[str, tuple] = {}  # the named axes of each array, as world.read_npz takes them
 
-    def __init__(self, vector: np.ndarray, shapes: tuple[tuple[int, ...], ...]):
+    def __init__(self, vector: np.ndarray, **lengths: int):
+        """`lengths` gives the length of every named axis."""
         vector = np.asarray(vector, dtype=float)
+        shapes = [tuple(lengths.get(axis, axis) for axis in axes) for axes in self.axes.values()]
         size = sum(math.prod(shape) for shape in shapes)
         if vector.shape != (size,):
             raise ValueError(f"parameter vector has shape {vector.shape}, expected ({size},)")
         self.vector = vector
         off = 0
-        for name, shape in zip(self.names, shapes):
+        for name, shape in zip(self.axes, shapes):
             n = math.prod(shape)
             setattr(self, name, vector[off : off + n].reshape(shape))
             off += n
@@ -108,13 +100,16 @@ class ModelParams(_FlatParams):
     2 = pre-softplus kernel width (floored additively at LAMBDA_FLOOR).
     """
 
-    names = ("w1", "b1", "w2", "b2", "w3", "b3")
+    # "inputs" is n_features + 2 * horizon
+    axes = {"w1": ("hidden", "inputs"), "b1": ("hidden",), "w2": ("hidden", "hidden"),
+            "b2": ("hidden",), "w3": (3, "hidden"), "b3": (3,)}
+    names = tuple(axes)
 
     def __init__(self, vector: np.ndarray, n_features: int, horizon: int, hidden: int):
         self.n_features = n_features
         self.horizon = horizon
         self.hidden = hidden
-        super().__init__(vector, _model_shapes(n_features, horizon, hidden))
+        super().__init__(vector, hidden=hidden, inputs=n_features + 2 * horizon)
 
     def zeros_like(self) -> "ModelParams":
         return ModelParams(np.zeros_like(self.vector), self.n_features, self.horizon, self.hidden)
@@ -142,11 +137,12 @@ class ModelParams(_FlatParams):
 class RiskHeadParams(_FlatParams):
     """Weights of the risk classifier: scalar risk -> tanh hidden -> 2 logits."""
 
-    names = ("v1", "c1", "v2", "c2")
+    axes = {"v1": ("risk_hidden",), "c1": ("risk_hidden",), "v2": (2, "risk_hidden"), "c2": (2,)}
+    names = tuple(axes)
 
     def __init__(self, vector: np.ndarray, hidden: int):
         self.hidden = hidden
-        super().__init__(vector, _risk_head_shapes(hidden))
+        super().__init__(vector, risk_hidden=hidden)
 
     def zeros_like(self) -> "RiskHeadParams":
         return RiskHeadParams(np.zeros_like(self.vector), self.hidden)
@@ -463,66 +459,39 @@ def save_checkpoint(
     meta: dict | None = None,
 ) -> None:
     """Write a versioned npz checkpoint with architecture metadata embedded."""
-    payload = {
-        "version": np.array(CHECKPOINT_VERSION),
-        "n_features": np.array(params.n_features),
-        "horizon": np.array(params.horizon),
-        "hidden": np.array(params.hidden),
-    }
-    for name in params.names:
-        payload[name] = getattr(params, name)
+    payload = {"version": np.array(CHECKPOINT_VERSION), "n_features": np.array(params.n_features),
+               "horizon": np.array(params.horizon), "hidden": np.array(params.hidden),
+               **{name: getattr(params, name) for name in params.names}}
     if risk_head is not None:
-        for name in risk_head.names:
-            payload["rh_" + name] = getattr(risk_head, name)
+        payload.update({"rh_" + name: getattr(risk_head, name) for name in risk_head.names})
     if meta:
         payload["meta_json"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
     np.savez(path, **payload)
 
 
-def _stored(path, z, key: str) -> np.ndarray:
-    """The array `key` of the open npz z, or a ValueError naming the file and the missing array."""
-    if key not in z:
-        raise ValueError(f"{path}: arrays: missing key {key!r}")
-    return z[key]
-
-
-def _checked_vector(path, z, keys, shapes, source: str) -> np.ndarray:
-    """Concatenate the stored arrays after checking each shape and that every value is finite."""
-    parts = []
-    for key, shape in zip(keys, shapes):
-        arr = _stored(path, z, key)
-        if arr.shape != shape:
-            raise ValueError(f"{path}: array {key} has shape {arr.shape}, but {source} need {shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{path}: array {key} contains non-finite values")
-        parts.append(arr.ravel())
-    return np.concatenate(parts)
+# the arrays of a checkpoint, by their named axes; the risk head and the meta are optional
+_CHECKPOINT_AXES = {"n_features": (), "horizon": (), "hidden": (), **ModelParams.axes,
+                    **{"rh_" + name: axes for name, axes in RiskHeadParams.axes.items()},
+                    "meta_json": ("meta_bytes",)}
 
 
 def load_checkpoint(path) -> tuple[ModelParams, RiskHeadParams | None, dict]:
-    """Load (params, risk_head, meta) from an npz checkpoint.
-
-    Rejects a missing array, an unknown version, arrays whose shapes disagree
-    with the stored n_features / horizon / hidden (or, for the risk head, with
-    the size of rh_v1), and non-finite weights, naming the file and the array.
-    """
-    with np.load(path) as z:
-        version = int(_stored(path, z, "version"))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}, "
-                             f"expected {CHECKPOINT_VERSION}")
-        n_features, horizon, hidden = (int(_stored(path, z, k)) for k in ("n_features", "horizon", "hidden"))
-        source = f"n_features={n_features}, horizon={horizon}, hidden={hidden}"
-        vector = _checked_vector(
-            path, z, ModelParams.names, _model_shapes(n_features, horizon, hidden), source
-        )
-        params = ModelParams(vector, n_features, horizon, hidden)
-        risk_head = None
-        if "rh_v1" in z:
-            k = z["rh_v1"].size
-            keys = ["rh_" + name for name in RiskHeadParams.names]
-            source = f"risk-head hidden={k} (the size of rh_v1)"
-            vector = _checked_vector(path, z, keys, _risk_head_shapes(k), source)
-            risk_head = RiskHeadParams(vector, k)
-        meta = json.loads(z["meta_json"].tobytes().decode()) if "meta_json" in z else {}
+    """Load (params, risk_head, meta) from an npz checkpoint, read by world.read_npz; a header
+    (n_features, horizon, hidden) that disagrees with the shape of w1, or a risk head of some but
+    not all of its four arrays, raises ValueError naming the file and the array."""
+    risk_keys = ["rh_" + name for name in RiskHeadParams.names]
+    z = read_npz(path, "checkpoint", CHECKPOINT_VERSION, _CHECKPOINT_AXES, [*risk_keys, "meta_json"])
+    n_features, horizon, hidden = (int(z[k]) for k in ("n_features", "horizon", "hidden"))
+    need = (hidden, n_features + 2 * horizon)
+    if z["w1"].shape != need:  # w1 sets the hidden width of every other array
+        raise ValueError(f"{path}: array w1 has shape {z['w1'].shape}, but n_features={n_features}, "
+                         f"horizon={horizon}, hidden={hidden} need {need}")
+    has_head = [k in z for k in risk_keys]
+    if any(has_head) and not all(has_head):  # the risk head is all four arrays or none
+        raise ValueError(f"{path}: arrays: missing key {risk_keys[has_head.index(False)]!r}")
+    params = ModelParams(np.concatenate([z[k].ravel() for k in ModelParams.names]),
+                         n_features, horizon, hidden)
+    risk_head = (RiskHeadParams(np.concatenate([z[k].ravel() for k in risk_keys]), z["rh_v1"].size)
+                 if all(has_head) else None)
+    meta = json.loads(z["meta_json"].tobytes().decode()) if "meta_json" in z else {}
     return params, risk_head, meta

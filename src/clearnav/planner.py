@@ -83,20 +83,14 @@ class PlannerConfig:
 
     def __post_init__(self):
         _check_counts(self, "iterations", "samples", "risk_elites", "elites", "risk_draws", "horizon")
-        if not self.samples >= self.risk_elites >= self.elites >= 1:
-            raise ValueError("need samples >= risk_elites >= elites >= 1")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.risk_draws < 1:
-            raise ValueError("risk_draws must be >= 1")
+        if not self.samples >= self.risk_elites >= self.elites:
+            raise ValueError("need samples >= risk_elites >= elites")
         if min(self.w_state, self.w_risk, self.w_effort) < 0:
             raise ValueError("cost weights must be >= 0")
         if not 0.0 < self.smoothing <= 1.0:
             raise ValueError("smoothing must be in (0, 1]")
         if not 0.0 <= self.noise_correlation <= 1.0:
             raise ValueError("noise_correlation must be in [0, 1]")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
         if not self.dt > 0:
             raise ValueError("dt must be > 0")
         if not self.d_o > 0:

@@ -30,6 +30,7 @@ from .data import ClearanceDataset
 from .dynamics import RobotState
 from .model import ModelParams, PolarFeaturizer, RiskHeadParams, forward_batch, sigmoid
 from .risk import draw_dirac_samples, mmd_batch, mmd_batch_grad, residual
+from .world import _check_counts
 
 MODES = ("baseline", "augmented", "nll_sigma_penalty")
 
@@ -58,14 +59,11 @@ class TrainConfig:
     grad_clip: float | None = None
 
     def __post_init__(self):
+        _check_counts(self, "epochs", "batch_size", "risk_samples", "hidden", "risk_hidden", "n_sectors")
         if self.risk_samples < 2:
             raise ValueError("risk_samples must be >= 2")
         if self.d_o <= 0:
             raise ValueError("d_o must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if not 0.0 <= self.holdout_fraction < 1.0:
             raise ValueError("holdout_fraction must be in [0, 1)")
 
@@ -328,6 +326,8 @@ def train(dataset: ClearanceDataset, cfg: TrainConfig, mode: str) -> TrainResult
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
+    if cfg.d_o != dataset.d_o:  # the labels say safe at the dataset's radius, the risk at cfg's
+        raise ValueError(f"TrainConfig.d_o {cfg.d_o} differs from the dataset's d_o {dataset.d_o}")
     x_all, _, featurizer = build_inputs(dataset, cfg.n_sectors)
     train_idx, hold_idx = _holdout_split(dataset, cfg)
     d_gt = dataset.clearance

@@ -17,6 +17,8 @@ import functools
 import json
 import math
 import numbers
+import zipfile
+import zlib
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
@@ -34,11 +36,13 @@ def _check_finite(obj) -> None:
 
 
 def _check_counts(obj, *names) -> None:
-    """Refuse a field of obj among `names` that is not an integer (a bool or 2.0 included)."""
+    """Refuse a field of obj among `names` that is not an integer (a bool or 2.0 included) or is < 1."""
     for name in names:
         value = getattr(obj, name)
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{type(obj).__name__}.{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{type(obj).__name__}.{name} must be >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -149,8 +153,6 @@ class SensorConfig:
         if not 0.0 < self.fov <= 2 * math.pi:
             raise ValueError("fov must be in (0, 2*pi]")
         _check_counts(self, "n_rays")
-        if self.n_rays < 1:
-            raise ValueError("n_rays must be >= 1")
         if not (math.isfinite(self.max_range) and self.max_range > 0):
             raise ValueError("max_range must be positive and finite")
 
@@ -296,7 +298,7 @@ def estimated_scan(
     b is the smooth angular bias field `bias`, shared across an episode so that
     it drifts rather than redraws; eta ~ N(0, additive_sigma^2). Results are
     clamped to [1e-9, max_range], so a zero NoiseModel reproduces raycast_scan
-    exactly from any pose outside the obstacles.
+    exactly from any pose inside the arena and outside the obstacles.
     """
     noise = cfg.noise
     angles, ranges = scan_ranges(state, world, cfg)
@@ -344,7 +346,7 @@ def body_to_world(points: np.ndarray, state: RobotState) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# JSON scenario I/O (schema documented in README)
+# Strict file reading: JSON scenarios (schema documented in README) and npz archives
 
 def _check_keys(section: str, d: dict, known, required=None) -> None:
     """Refuse a key of d outside `known`, or a missing key of `required` (all of
@@ -365,6 +367,45 @@ def _from_dict(cls, d: dict, section: str, **read):
     required = [f.name for f in fs if f.default is MISSING and f.default_factory is MISSING]
     _check_keys(section, d, [f.name for f in fs], required)
     return cls(**{k: read[k](v) if k in read else v for k, v in d.items()})
+
+
+def read_npz(path, kind: str, version: int, axes: dict, optional=(), advice: str = "") -> dict:
+    """The arrays of the npz archive at `path` but `version`, by name, read strictly: a scalar
+    `version` equal to `version` (else the error names `kind`, then `advice`), and exactly the
+    arrays of `axes`, those in `optional` allowed to be left out, each numeric, finite and of
+    its axes' lengths (an int is fixed; a str names an axis, whose length the first array of
+    `axes` that has it sets). Anything else, a file that is not an npz archive included,
+    raises ValueError naming the file and the array."""
+    arrays = None
+    try:
+        z = np.load(path, allow_pickle=False)
+        if isinstance(z, np.lib.npyio.NpzFile):  # else a .npy file: one bare array
+            with z:
+                arrays = {name: z[name] for name in z.files}
+    except (ValueError, EOFError, zipfile.BadZipFile, zlib.error):
+        pass  # text (numpy takes it for a pickle), an empty or a truncated file
+    if arrays is None:
+        raise ValueError(f"{path}: not a readable npz archive")
+    found = arrays.pop("version", None)
+    if found is None:
+        raise ValueError(f"{path}: arrays: missing key 'version'")
+    if found.shape != () or found.item() != version:
+        raise ValueError(f"{path}: {kind} version {found}, expected {version}{advice}")
+    _check_keys(f"{path}: arrays", arrays, axes, [name for name in axes if name not in optional])
+    arrays = {name: arrays[name] for name in axes if name in arrays}  # in the order of `axes`
+    lengths: dict[str, int] = {}
+    for name, arr in arrays.items():
+        shape = axes[name]
+        if arr.dtype.kind not in "iuf":
+            raise ValueError(f"{path}: array {name} has dtype {arr.dtype}, not a number type")
+        if arr.ndim == len(shape):  # the first array that has a named axis sets its length
+            lengths = {axis: n for axis, n in zip(shape, arr.shape) if isinstance(axis, str)} | lengths
+        expected = tuple(lengths.get(axis, axis) for axis in shape)  # an unset axis keeps its name
+        if arr.shape != expected:
+            raise ValueError(f"{path}: array {name} has shape {arr.shape}, expected {expected}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: array {name} contains non-finite values")
+    return arrays
 
 
 def obstacle_to_dict(ob: Obstacle) -> dict:

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 from collections import deque
 from dataclasses import replace
 
@@ -49,6 +50,15 @@ from clearnav.world import (
     true_clearance,
     world_to_dict,
 )
+
+
+def replay_doc(**change) -> dict:
+    """A replay of two commands in an empty arena, with each key of `change` set (None drops it)."""
+    world = World((), (0.0, 0.0, 10.0, 8.0), RobotState(1.0, 4.0, 0.0), (9.0, 4.0))
+    doc = {"world": world_to_dict(world), "method": "oracle", "seed": 0, "result": "timeout",
+           "dt": 0.1, "commands": [[0.5, 0.1], [0.5, 0.0]]}
+    doc.update(change)
+    return {k: v for k, v in doc.items() if v is not None}
 
 
 def fast_planner(**kw) -> PlannerConfig:
@@ -542,6 +552,24 @@ class TestTraces:
             assert np.array_equal(states[:, 0], episode.trace["x"])
             assert np.array_equal(states[:, 1], episode.trace["y"])
             assert np.array_equal(states[:, 2], episode.trace["psi"])
+
+    @pytest.mark.parametrize("change, message", [
+        pytest.param({"dt": None}, "replay: missing key 'dt'", id="no-dt"),
+        pytest.param({"speed": 1.0}, "replay: unknown key 'speed'", id="unknown-key"),
+        pytest.param({"dt": 0.0}, r"replay: dt must be finite and > 0, got 0\.0", id="zero-dt"),
+        pytest.param({"dt": math.inf}, "replay: dt must be finite and > 0, got inf", id="inf-dt"),
+        pytest.param({"commands": [[0.5]]}, r"replay: commands must be a finite \(n, 2\) array",
+                     id="one-entry"),
+        pytest.param({"commands": [[0.5, 0.1], [0.5]]}, ".*sequence", id="one-short-command"),
+        pytest.param({"commands": [[0.5, math.nan]]}, r"replay: commands must be a finite \(n, 2\) array",
+                     id="nan-command"),
+        pytest.param({"world": {"bounds": [0, 0, 1, 1]}}, "world: missing key 'start'", id="bad-world"),
+    ])
+    def test_malformed_replay_is_refused_naming_the_file(self, tmp_path, change, message):
+        path = tmp_path / "run_replay.json"
+        path.write_text(json.dumps(replay_doc(**change)))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}"):
+            replay_trajectory(path)
 
     def test_speed_stats_match_trace(self, tmp_path):
         world, out = self._episode()

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from clearnav.data import ClearanceDataset
 from clearnav.dynamics import RobotState
 from clearnav.world import Circle, NoiseModel, SensorConfig, World, save_scenario
 
+from test_bench import replay_doc
 from test_world import MALFORMED_SCENARIOS, scenario_doc
 
 
@@ -122,7 +125,7 @@ def test_learned_method_without_checkpoint_names_the_flag(tmp_path, scenario_fil
 
 @pytest.mark.parametrize("arrays, message", [
     pytest.param({"hidden": np.array(64)}, "arrays: missing key 'version'", id="no-version"),
-    pytest.param({"version": np.array(9)}, "unsupported checkpoint version 9, expected 1", id="version-9"),
+    pytest.param({"version": np.array(9)}, "checkpoint version 9, expected 1", id="version-9"),
 ])
 @pytest.mark.parametrize("command", ["episode", "bench"])
 def test_refused_checkpoint_exits_with_the_loaders_line(tmp_path, scenario_file, planner_file, command,
@@ -156,3 +159,55 @@ def test_planner_config_unknown_key_exits_naming_the_file(tmp_path, scenario_fil
     with pytest.raises(SystemExit, match=r"planner\.json: planner config: unknown key 'iteration'$"):
         main(args + ["--planner-config", str(path), "--out", str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
+
+
+def write_unreadable(path, kind: str) -> None:
+    """Put at `path` a file that is not a readable npz archive: text, a .npy array, the
+    first 200 bytes of an archive, or (kind "missing") nothing."""
+    if kind == "text":
+        path.write_text("hello\n")
+    elif kind == "npy":
+        with open(path, "wb") as f:
+            np.save(f, np.zeros(3))
+    elif kind == "truncated":
+        np.savez(path, version=np.array(1), w1=np.zeros(64))
+        path.write_bytes(path.read_bytes()[:200])
+
+
+@pytest.mark.parametrize("kind", ["text", "npy", "truncated", "missing"])
+@pytest.mark.parametrize("command", ["train", "episode", "bench"])
+def test_unreadable_file_exits_in_one_line_naming_it(tmp_path, scenario_file, planner_file, command, kind):
+    path = tmp_path / "bad.npz"
+    write_unreadable(path, kind)
+    reason = "No such file or directory" if kind == "missing" else "not a readable npz archive"
+    args = {"train": ["train", "--data", str(path), "--epochs", "1"],
+            "episode": ["episode", "--scenario", scenario_file, "--method", "augmented",
+                        "--checkpoint", str(path), "--planner-config", planner_file],
+            "bench": ["bench", "--methods", "oracle,augmented", "--episodes", "1",
+                      "--checkpoint", str(path), "--planner-config", planner_file]}[command]
+    with pytest.raises(SystemExit, match=rf"^{re.escape(str(path))}: {reason}$"):
+        main(args + ["--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+def test_console_refusal_is_one_stderr_line(tmp_path):
+    path = tmp_path / "notzip.npz"
+    write_unreadable(path, "text")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-m", "clearnav.cli", "train", "--data", str(path),
+                           "--out", str(tmp_path / "model.npz")],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"{path}: not a readable npz archive\n"
+
+
+@pytest.mark.parametrize("change, message", [
+    pytest.param({"dt": None}, "replay: missing key 'dt'", id="no-dt"),
+    pytest.param({"commands": [[0.5]]}, r"replay: commands must be a finite \(n, 2\) array", id="one-entry"),
+])
+def test_replay_exits_in_one_line_naming_the_file(tmp_path, change, message):
+    path = tmp_path / "run_replay.json"
+    path.write_text(json.dumps(replay_doc(**change)))
+    with pytest.raises(SystemExit, match=rf"^{re.escape(str(path))}: {message}$"):
+        main(["replay", "--replay", str(path), "--out", str(tmp_path / "states.csv")])
+    assert not (tmp_path / "states.csv").exists()

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -496,15 +498,38 @@ class TestCheckpoint:
     def test_version_rejected(self, tmp_path):
         path = tmp_path / "model.npz"
         self.save(path, version=np.array(99))
-        with pytest.raises(ValueError, match=r"model\.npz: unsupported checkpoint version 99, expected 1$"):
+        with pytest.raises(ValueError, match=r"model\.npz: checkpoint version 99, expected 1$"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("key", ["version", "hidden", "w2", "rh_v2"])
+    @pytest.mark.parametrize("key", ["version", "hidden", "w2", "rh_v2", "rh_v1"])
     def test_missing_array_is_refused_naming_the_file(self, tmp_path, rng, key):
+        # the risk head is all four arrays or none: without rh_v1 it is not silently dropped
         path = tmp_path / "model.npz"
         self.save(path, phi=RiskHeadParams.init(rng, 16), **{key: None})
         with pytest.raises(ValueError, match=rf"model\.npz: arrays: missing key '{key}'$"):
             load_checkpoint(path)
+
+    def test_unknown_array_is_refused_naming_the_file(self, tmp_path):
+        path = tmp_path / "model.npz"
+        self.save(path, w4=np.zeros(3))
+        with pytest.raises(ValueError, match=r"model\.npz: arrays: unknown key 'w4'$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["augmented", "baseline_nll"])
+    def test_stored_weights_load_to_their_raw_arrays(self, name):
+        path = Path(__file__).parents[1] / "perfbench" / "weights" / f"{name}.npz"
+        params, risk_head, meta = load_checkpoint(path)
+        with np.load(path) as z:
+            raw = dict(z)
+        header = tuple(int(raw[k]) for k in ("n_features", "horizon", "hidden"))
+        assert (params.n_features, params.horizon, params.hidden) == header
+        loaded = {**{k: getattr(params, k) for k in params.names},
+                  **{"rh_" + k: getattr(risk_head, k) for k in risk_head.names}}
+        for key, arr in loaded.items():
+            assert arr.dtype == raw[key].dtype and arr.shape == raw[key].shape
+            assert arr.tobytes() == raw[key].tobytes(), key
+        assert risk_head.hidden == raw["rh_v1"].size
+        assert meta == json.loads(raw["meta_json"].tobytes())
 
     def test_vector_round_trip(self):
         # the named arrays are views of the flat vector, in w1..b3 order

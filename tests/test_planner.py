@@ -179,7 +179,8 @@ class TestPlan:
     def test_risk_draws_at_least_one(self):
         # zero draws would fail in the first plan's draw_dirac_samples
         for risk_draws in (0, -2):
-            with pytest.raises(ValueError, match="^risk_draws must be >= 1$"):
+            message = rf"^PlannerConfig\.risk_draws must be >= 1, got {risk_draws}$"
+            with pytest.raises(ValueError, match=message):
                 fast_cfg(risk_draws=risk_draws)
 
     @pytest.mark.parametrize("name", ["init_var", "var_floor", "dirac_variance"])

@@ -455,6 +455,11 @@ class TestTrain:
             TrainConfig(**{field: value})
         TrainConfig(epochs=1, batch_size=1, holdout_fraction=0.0)  # the edges that stay valid
 
+    def test_refuses_a_radius_other_than_the_datasets(self):
+        # the labels mark safe at the dataset's d_o; the risk residual would use the config's
+        with pytest.raises(ValueError, match=r"^TrainConfig\.d_o 0\.25 differs from the dataset's d_o 0\.3$"):
+            train(small_dataset(), TrainConfig(epochs=1, d_o=0.25), "augmented")
+
     def test_unknown_mode_rejected(self):
         ds = small_dataset()
         with pytest.raises(ValueError, match="mode"):

@@ -13,6 +13,7 @@ from clearnav.bench import EpisodeConfig, make_predictor_factory, suite_worlds
 from clearnav.data import generate_dataset
 from clearnav.dynamics import RobotState
 from clearnav.planner import PlannerConfig, SimState, mpc_step
+from clearnav.training import TrainConfig
 from clearnav.world import (
     BiasField,
     Box,
@@ -351,6 +352,18 @@ class TestValidationAndIO:
             with pytest.raises(ValueError, match=r"^SensorConfig\.n_rays must be an integer"):
                 SensorConfig(n_rays=n_rays)
         assert SensorConfig(n_rays=np.int64(60)).n_rays == 60
+
+    @pytest.mark.parametrize("cls, name", [
+        (PlannerConfig, "iterations"), (SensorConfig, "n_rays"), (EpisodeConfig, "exec_horizon"),
+        *((TrainConfig, name) for name in ("epochs", "batch_size", "risk_samples", "hidden",
+                                           "risk_hidden", "n_sectors")),
+    ])
+    def test_counts_are_integers_of_at_least_one(self, cls, name):
+        for value in (0, -2):
+            with pytest.raises(ValueError, match=rf"^{cls.__name__}\.{name} must be >= 1, got {value}$"):
+                cls(**{name: value})
+        with pytest.raises(ValueError, match=rf"^{cls.__name__}\.{name} must be an integer, got 2\.0$"):
+            cls(**{name: 2.0})
 
     def test_world_validate_rejects_blocked_start(self):
         world = World((Circle(0.0, 0.0, 1.0),), (-5, -5, 5, 5), RobotState(0.5, 0, 0), (4, 4))
