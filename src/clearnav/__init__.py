@@ -18,7 +18,6 @@ from .world import (
     load_scenario,
     raycast_scan,
     save_scenario,
-    standardize_cloud,
     true_clearance,
 )
 from .model import (

@@ -147,13 +147,13 @@ class BenchmarkReport:
             f.write(self.to_json())
 
     def format_table(self) -> str:
-        header = (f"{'method':<14}{'% collisions':>14}{'% stuck':>10}{'% timeout':>12}"
+        header = (f"{'method':<14}{'% reached':>11}{'% collisions':>14}{'% stuck':>10}{'% timeout':>12}"
                   f"{'avg speed':>12}{'max speed':>12}")
         lines = [header, "-" * len(header)]
         for name, m in self.methods.items():
             lines.append(
-                f"{name:<14}{m['collision_pct']:>14.1f}{m['stuck_pct']:>10.1f}{m['timeout_pct']:>12.1f}"
-                f"{m['avg_speed']:>12.3f}{m['max_speed']:>12.3f}"
+                f"{name:<14}{m['reached_pct']:>11.1f}{m['collision_pct']:>14.1f}{m['stuck_pct']:>10.1f}"
+                f"{m['timeout_pct']:>12.1f}{m['avg_speed']:>12.3f}{m['max_speed']:>12.3f}"
             )
         return "\n".join(lines)
 
@@ -209,8 +209,8 @@ def make_predictor_factory(
                 f"dt {cfg.dt} and sensor fov {sensor.fov} max_range {sensor.max_range}"
             )
 
-        def learned(std_cloud: np.ndarray, state: RobotState):
-            obs = feat.featurize(std_cloud, state)
+        def learned(scan: np.ndarray, state: RobotState):
+            obs = feat.featurize(scan, state)
 
             def predictor(u_flat: np.ndarray):
                 mu, sigma, lam = predict_batch(model.params, obs, u_flat)
@@ -224,15 +224,12 @@ def make_predictor_factory(
 
     spread = ep.oracle_sigma if method == "oracle" else ep.det_sigma
 
-    def geometric(std_cloud: np.ndarray, state: RobotState):
+    def geometric(scan: np.ndarray, state: RobotState):
         # resolved at call time: a module-level binding here would bypass anything
         # that replaces clearnav.model.worst_case_clearance (perfbench's span tracer)
         from .model import worst_case_clearance
 
-        cloud = raycast_scan(state, world, sensor) if method == "oracle" else std_cloud
-        # standardize_cloud pads a short scan by resampling it with replacement, and
-        # the clearance is a minimum over (pose, point) pairs, which copies cannot move
-        cloud_world = np.unique(body_to_world(cloud, state), axis=0)
+        cloud_world = body_to_world(raycast_scan(state, world, sensor) if method == "oracle" else scan, state)
         # every iteration of the plan call queries this cloud from this state
         index = ClearanceIndex(state, cloud_world)
 

@@ -44,6 +44,13 @@ def _or_exit(path, call, *args):
         raise SystemExit(message if message.startswith(f"{path}: ") else f"{path}: {message}") from None
 
 
+def _check_out(path) -> None:
+    """Refuse, before any work, an output file whose directory does not exist."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"directory {parent} does not exist")
+
+
 def _planner_from_json(path) -> PlannerConfig:
     if path is None:
         return PlannerConfig()
@@ -52,6 +59,7 @@ def _planner_from_json(path) -> PlannerConfig:
 
 
 def cmd_gen_data(args) -> int:
+    _or_exit(args.out, _check_out, args.out)
     rng = np.random.default_rng(args.seed)
     worlds = suite_worlds(args.worlds, args.seed, SuiteConfig())
     sensor = _default_sensor()
@@ -69,6 +77,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _or_exit(args.out, _check_out, args.out)
     dataset = _or_exit(args.data, ClearanceDataset.load, args.data)
     cfg = TrainConfig(seed=args.seed, epochs=args.epochs, d_o=dataset.d_o)
     result = train(dataset, cfg, args.mode)

@@ -16,7 +16,6 @@ import numpy as np
 from .dynamics import RobotState, sample_controls
 from .model import worst_case_clearance
 from .world import (
-    CLOUD_SIZE,
     BiasField,
     SensorConfig,
     World,
@@ -24,11 +23,11 @@ from .world import (
     estimated_scan,
     raycast_scan,
     read_npz,
-    standardize_cloud,
+    standardize_cloud,  # unused here: perfbench/tracer.py traces this binding
     true_clearance,
 )
 
-DATASET_VERSION = 2
+DATASET_VERSION = 3
 _POSE_TRIES = 200  # random positions sample_free_pose draws before it gives up
 
 
@@ -37,7 +36,8 @@ class ClearanceDataset:
     """Column store over samples; snapshot-level arrays are shared, not copied.
     Each field is stored as it is; a named axis has one length in every array."""
 
-    clouds: np.ndarray = field(metadata={"axes": ("snapshots", CLOUD_SIZE, 2)})  # noisy scans
+    points: np.ndarray = field(metadata={"axes": ("points", 2)})  # the noisy scans, one after another
+    counts: np.ndarray = field(metadata={"axes": ("snapshots",)})  # points per scan, in snapshot order
     states: np.ndarray = field(metadata={"axes": ("snapshots", 5)})  # RobotState.as_array
     snapshot: np.ndarray = field(metadata={"axes": ("samples",)})  # index into snapshot arrays
     controls: np.ndarray = field(metadata={"axes": ("samples", "horizon", 2)})
@@ -57,7 +57,7 @@ class ClearanceDataset:
 
     @property
     def n_snapshots(self) -> int:
-        return self.clouds.shape[0]
+        return self.states.shape[0]
 
     @property
     def safe(self) -> np.ndarray:
@@ -70,11 +70,14 @@ class ClearanceDataset:
 
     @classmethod
     def load(cls, path) -> "ClearanceDataset":
-        """Read a dataset `save` wrote, strictly (see world.read_npz); a snapshot
-        index out of range also raises ValueError naming the file and the array."""
+        """Read a dataset `save` wrote, strictly (see world.read_npz); bad counts or a snapshot
+        index out of range also raise ValueError naming the file and the array."""
         axes = {f.name: f.metadata.get("axes", ()) for f in fields(cls)}
         arrays = read_npz(path, "dataset", DATASET_VERSION, axes,
                           advice="; regenerate it with clearnav gen-data")
+        counts, n_points = arrays["counts"], arrays["points"].shape[0]
+        if counts.dtype.kind not in "iu" or (counts < 0).any() or counts.sum() != n_points:
+            raise ValueError(f"{path}: array counts must hold non-negative integers summing to {n_points}")
         snapshot, n = arrays["snapshot"], arrays["states"].shape[0]
         if snapshot.dtype.kind not in "iu" or snapshot.size and not 0 <= snapshot.min() <= snapshot.max() < n:
             raise ValueError(f"{path}: array snapshot must hold integer indices in [0, {n})")
@@ -108,14 +111,12 @@ def generate_dataset(
 ) -> ClearanceDataset:
     """Build a labeled dataset from simulated snapshots.
 
-    Per snapshot: one noisy standardized cloud (input), one true cloud
-    (reference), `sequences_per_snapshot` random command sequences, each
-    labeled with min distance over (rollout point, reference cloud point)
-    pairs, capped at max_range when the reference cloud is empty.
+    Per snapshot: one noisy cloud (input), one true cloud (reference),
+    `sequences_per_snapshot` random command sequences, each labeled with min
+    distance over (rollout point, reference cloud point) pairs, capped at
+    max_range when the reference cloud is empty.
     """
-    clouds, states = [], []
-    snap_idx, controls, clearances = [], [], []
-    snap = 0
+    clouds, states, controls, clearances = [], [], [], []
     for wi, world in enumerate(worlds):
         produced = 0
         for _ in range(snapshots_per_world):
@@ -124,25 +125,23 @@ def generate_dataset(
                 break
             bias = BiasField(sensor.noise, seed=int(rng.integers(2**63)))
             noisy = estimated_scan(state, world, sensor, rng, t=0, bias=bias)
-            cloud = standardize_cloud(noisy, sensor, rng)
             reference = body_to_world(raycast_scan(state, world, sensor), state)
             cmd = sample_controls(rng, sequences_per_snapshot, horizon)
             d = worst_case_clearance(state, cmd, reference, dt, sensor.max_range)
-            clouds.append(cloud)
+            clouds.append(noisy)
             states.append(state.as_array())
-            snap_idx.append(np.full(sequences_per_snapshot, snap))
             controls.append(cmd)
             clearances.append(d)
-            snap += 1
             produced += 1
         if produced == 0:
             warnings.warn(f"world {wi} has no reachable free space; skipped")
-    if snap == 0:
+    if not states:
         raise ValueError("no snapshots could be generated from the given worlds")
     return ClearanceDataset(
-        clouds=np.stack(clouds),
+        points=np.concatenate(clouds),
+        counts=np.array([len(c) for c in clouds]),
         states=np.stack(states),
-        snapshot=np.concatenate(snap_idx),
+        snapshot=np.repeat(np.arange(len(states)), sequences_per_snapshot),
         controls=np.concatenate(controls),
         clearance=np.concatenate(clearances),
         d_o=d_o,

@@ -1,6 +1,6 @@
 """Probabilistic worst-case clearance predictor.
 
-A fixed polar featurizer turns a standardized body-frame cloud into sector-wise
+A fixed polar featurizer turns a body-frame scan cloud into sector-wise
 min-range features; a small tanh MLP maps (features, flattened commands) to a
 clearance mean, a positive spread, and a positive kernel width for the risk
 metric. Gradients are hand-derived in `training`, so the forward pass here
@@ -476,11 +476,14 @@ _CHECKPOINT_AXES = {"n_features": (), "horizon": (), "hidden": (), **ModelParams
 
 
 def load_checkpoint(path) -> tuple[ModelParams, RiskHeadParams | None, dict]:
-    """Load (params, risk_head, meta) from an npz checkpoint, read by world.read_npz; a header
-    (n_features, horizon, hidden) that disagrees with the shape of w1, or a risk head of some but
-    not all of its four arrays, raises ValueError naming the file and the array."""
+    """Load (params, risk_head, meta) from an npz checkpoint, read by world.read_npz; a non-integer
+    header (n_features, horizon, hidden) or one that disagrees with w1's shape, a risk head of some
+    of its four arrays, or a meta_json not a JSON object raises ValueError naming the file and array."""
     risk_keys = ["rh_" + name for name in RiskHeadParams.names]
     z = read_npz(path, "checkpoint", CHECKPOINT_VERSION, _CHECKPOINT_AXES, [*risk_keys, "meta_json"])
+    for key in ("n_features", "horizon", "hidden"):
+        if z[key].dtype.kind not in "iu":
+            raise ValueError(f"{path}: array {key} must hold an integer, got {z[key]}")
     n_features, horizon, hidden = (int(z[k]) for k in ("n_features", "horizon", "hidden"))
     need = (hidden, n_features + 2 * horizon)
     if z["w1"].shape != need:  # w1 sets the hidden width of every other array
@@ -493,5 +496,10 @@ def load_checkpoint(path) -> tuple[ModelParams, RiskHeadParams | None, dict]:
                          n_features, horizon, hidden)
     risk_head = (RiskHeadParams(np.concatenate([z[k].ravel() for k in risk_keys]), z["rh_v1"].size)
                  if all(has_head) else None)
-    meta = json.loads(z["meta_json"].tobytes().decode()) if "meta_json" in z else {}
+    try:
+        meta = json.loads(z["meta_json"].tobytes().decode()) if "meta_json" in z else {}
+    except ValueError:  # not UTF-8, or not JSON
+        meta = None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: array meta_json does not hold a JSON object")
     return params, risk_head, meta

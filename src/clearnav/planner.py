@@ -28,7 +28,8 @@ import numpy as np
 
 from .dynamics import RobotState, clip_command_batch, rollout_batch, step
 from .risk import draw_dirac_samples, mmd_batch, residual
-from .world import BiasField, SensorConfig, World, _check_counts, estimated_scan, standardize_cloud
+from .world import BiasField, SensorConfig, World, _check_counts, estimated_scan
+from .world import standardize_cloud  # unused here: perfbench/tracer.py traces this binding
 
 _M_TOP_PAD = -2  # glibc <malloc.h>
 _TOP_PAD_BYTES = 64 << 20
@@ -255,7 +256,7 @@ class SimState:
     bias: BiasField  # the sensor's drifting range bias over the episode
 
 
-# factory: (standardized cloud, current state) -> Predictor for this plan call
+# factory: (body-frame scan cloud, current state) -> Predictor for this plan call
 PredictorFactory = Callable[[np.ndarray, RobotState], Predictor]
 
 
@@ -274,8 +275,7 @@ def mpc_step(
     updated in place.
     """
     cloud = estimated_scan(sim.state, world, sensor, sim.rng, t=sim.t, bias=sim.bias)
-    std_cloud = standardize_cloud(cloud, sensor, sim.rng)
-    predictor = predictor_factory(std_cloud, sim.state)
+    predictor = predictor_factory(cloud, sim.state)
     result = plan(sim.state, predictor, goal, cfg, rng=sim.rng, nu0=sim.nu)
 
     executed: list[RobotState] = []

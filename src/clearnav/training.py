@@ -271,9 +271,10 @@ def build_inputs(dataset: ClearanceDataset, n_sectors: int = 32):
     """Assemble the flat model-input matrix: per-sample [observation | commands]."""
     featurizer = PolarFeaturizer(dataset.fov, dataset.max_range, n_sectors)
     obs = np.empty((dataset.n_snapshots, n_sectors + 2))
+    clouds = np.split(dataset.points, np.cumsum(dataset.counts)[:-1])
     for s in range(dataset.n_snapshots):
         x, y, psi, v, w = dataset.states[s]
-        obs[s] = featurizer.featurize(dataset.clouds[s], RobotState(x, y, psi, v, w))
+        obs[s] = featurizer.featurize(clouds[s], RobotState(x, y, psi, v, w))
     n = len(dataset)
     u_flat = dataset.controls.reshape(n, -1)
     x_all = np.concatenate([obs[dataset.snapshot], u_flat], axis=1)

@@ -25,7 +25,6 @@ import numpy as np
 
 from .dynamics import RobotState
 
-CLOUD_SIZE = 300  # points in a standardized cloud
 _BIAS_KNOTS = 12  # knots of the bias field around the full circle of bearings
 
 
@@ -315,25 +314,10 @@ def estimated_scan(
     return _polar_to_points(angles, ranges)
 
 
-def standardize_cloud(cloud: np.ndarray, cfg: SensorConfig, rng: np.random.Generator) -> np.ndarray:
-    """Resample a body-frame cloud to exactly CLOUD_SIZE points.
-
-    Oversized clouds are subsampled without replacement; undersized ones are
-    padded by resampling existing points with replacement. An empty cloud maps
-    to free-space sentinels at max_range fanned across the fov.
-    """
-    cloud = np.asarray(cloud, dtype=float).reshape(-1, 2)
-    n = cloud.shape[0]
-    if n == CLOUD_SIZE:
-        return cloud
-    if n > CLOUD_SIZE:
-        idx = np.sort(rng.choice(n, size=CLOUD_SIZE, replace=False))
-        return cloud[idx]
-    if n == 0:
-        angles = np.linspace(-cfg.fov / 2.0, cfg.fov / 2.0, CLOUD_SIZE)
-        return _polar_to_points(angles, np.full(CLOUD_SIZE, cfg.max_range))
-    pad = rng.choice(n, size=CLOUD_SIZE - n, replace=True)
-    return np.concatenate([cloud, cloud[pad]], axis=0)
+def standardize_cloud(cloud, cfg=None, rng=None):
+    """The cloud unchanged. clearnav calls it nowhere; it stays only while perfbench/tracer.py
+    traces this name in clearnav.planner and clearnav.data."""
+    return cloud
 
 
 def body_to_world(points: np.ndarray, state: RobotState) -> np.ndarray:

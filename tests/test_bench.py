@@ -46,7 +46,6 @@ from clearnav.world import (
     World,
     body_to_world,
     raycast_scan,
-    standardize_cloud,
     true_clearance,
     world_to_dict,
 )
@@ -405,8 +404,10 @@ class TestBenchmark:
         stats = rep.methods["oracle"]
         assert (stats["reached_pct"], stats["collision_pct"], stats["stuck_pct"],
                 stats["timeout_pct"]) == (20.0, 20.0, 20.0, 40.0)
-        row = rep.format_table().splitlines()[2].split()
-        assert "% timeout" in rep.format_table() and row[1:4] == ["20.0", "20.0", "40.0"]
+        header, _, row = rep.format_table().splitlines()
+        columns = ["% reached", "% collisions", "% stuck", "% timeout"]
+        assert sorted(columns, key=header.index) == columns  # each printed, in this order
+        assert row.split()[1:5] == ["20.0", "20.0", "20.0", "40.0"]
 
     def test_workers_do_not_change_results(self):
         cfg = fast_planner()
@@ -467,7 +468,7 @@ class TestPredictorFactory:
         rng = np.random.default_rng(1)
         state = world.start
         true_cloud = raycast_scan(state, world, sensor)
-        noisy = 0.9 * standardize_cloud(true_cloud, sensor, rng)  # a cloud unlike the true scan
+        noisy = 0.9 * true_cloud  # a cloud unlike the true scan
         u = rng.uniform([0.0, -1.0], [1.0, 1.0], (16, cfg.horizon, 2))
 
         factory, method_cfg = make_predictor_factory(method, world, sensor, cfg, ep, models)
@@ -495,8 +496,7 @@ class TestCloudPredictor:
         sensor = SensorConfig()
         rng = np.random.default_rng(0)
         state = world.start
-        padded = standardize_cloud(raycast_scan(state, world, sensor), sensor, rng)
-        assert len(np.unique(padded, axis=0)) < len(padded)  # padding made copies
+        scan = raycast_scan(state, world, sensor)
         seen, indexes = [], []
 
         def spy(initial, commands, cloud_world, dt, cap, index=None):
@@ -508,20 +508,23 @@ class TestCloudPredictor:
         cfg = fast_planner()
         factory = make_predictor_factory("raw_costmap", world, sensor, cfg, EpisodeConfig(), None)[0]
         u = rng.uniform([0.0, -1.0], [1.0, 1.0], (24, cfg.horizon, 2))
-        predictor = factory(padded, state)
+        predictor = factory(scan, state)
         mu = predictor(u.reshape(24, -1))[0]
-        assert len(seen) == 1 and len(np.unique(seen[0], axis=0)) == len(seen[0])
-        assert np.array_equal(mu, worst_case_clearance(state, u, body_to_world(padded, state),
-                                                       cfg.dt, sensor.max_range))
+        # the query cloud is the scan itself: its points in its order, none added or dropped
+        scan_world = body_to_world(scan, state)
+        assert len(seen) == 1 and np.array_equal(seen[0], scan_world)
+        assert len(np.unique(scan_world, axis=0)) == len(scan_world)
+        assert np.array_equal(mu, worst_case_clearance(state, u, scan_world, cfg.dt, sensor.max_range))
         # every query of one plan call goes through the one index built for it
         predictor(u[::2].reshape(12, -1))
         assert isinstance(indexes[0], ClearanceIndex) and indexes[1] is indexes[0]
-        assert np.array_equal(indexes[0].cloud, seen[0]) and indexes[0].initial == state
+        assert np.array_equal(indexes[0].cloud, scan_world) and indexes[0].initial == state
         empty = factory(np.zeros((0, 2)), state)(u.reshape(24, -1))[0]
         assert np.array_equal(empty, np.full(24, sensor.max_range))
-        padded[5] = np.nan
+        scan = scan.copy()
+        scan[5] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            factory(padded, state)(u.reshape(24, -1))
+            factory(scan, state)(u.reshape(24, -1))
 
 
 class TestTraces:

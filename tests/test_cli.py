@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import clearnav.cli
 from clearnav.cli import main
 from clearnav.data import ClearanceDataset
 from clearnav.dynamics import RobotState
@@ -52,10 +53,26 @@ def test_train_on_a_refused_dataset_exits_with_the_loaders_message(tmp_path):
     path = tmp_path / "old.npz"
     np.savez(path, version=np.array(1))
     # the loader's message names the file once; the command adds nothing to it
-    with pytest.raises(SystemExit, match=rf"^{path}: dataset version 1, expected 2; "
+    with pytest.raises(SystemExit, match=rf"^{path}: dataset version 1, expected 3; "
                                          "regenerate it with clearnav gen-data$"):
         main(["train", "--data", str(path), "--out", str(tmp_path / "model.npz"), "--epochs", "1"])
     assert not (tmp_path / "model.npz").exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_missing_out_directory_exits_before_the_work(tmp_path, monkeypatch, command):
+    def work(*args, **kwargs):
+        raise AssertionError("the command started its work")
+
+    monkeypatch.setattr(clearnav.cli, "generate_dataset", work)
+    monkeypatch.setattr(clearnav.cli, "train", work)
+    out = tmp_path / "missing" / "out.npz"
+    # the dataset does not exist either: the output path is checked first
+    args = {"gen-data": ["gen-data", "--worlds", "1", "--snapshots-per-world", "1"],
+            "train": ["train", "--data", str(tmp_path / "data.npz"), "--epochs", "1"]}[command]
+    with pytest.raises(SystemExit, match=rf"^{re.escape(str(out))}: directory "
+                                         rf"{re.escape(str(out.parent))} does not exist$"):
+        main(args + ["--out", str(out)])
 
 
 def test_episode_and_replay(tmp_path, scenario_file, planner_file):

@@ -37,7 +37,6 @@ from clearnav.world import (
     World,
     body_to_world,
     raycast_scan,
-    standardize_cloud,
 )
 
 
@@ -50,12 +49,11 @@ def featurize(cloud, state, sensor):
 
 
 class TestFeaturize:
-    def test_sentinel_cloud_saturates(self, quiet_sensor, rng):
-        cloud = standardize_cloud(np.empty((0, 2)), quiet_sensor, rng)
-        obs = featurize(cloud, RobotState(0, 0, 0, 0.4, -0.2), quiet_sensor)
+    def test_empty_cloud_is_exactly_ones(self, quiet_sensor):
+        obs = featurize(np.empty((0, 2)), RobotState(0, 0, 0, 0.4, -0.2), quiet_sensor)
         assert obs.shape == (34,)
-        assert obs[:32] == pytest.approx(np.ones(32))
-        assert obs[-2:] == pytest.approx([0.4, -0.2])
+        assert np.array_equal(obs[:32], np.ones(32))
+        assert np.array_equal(obs[-2:], [0.4, -0.2])
 
     def test_single_point_sector(self, quiet_sensor):
         # one return at range 1.0 with max_range 5.0 -> 0.2 in its sector
@@ -507,6 +505,22 @@ class TestCheckpoint:
         path = tmp_path / "model.npz"
         self.save(path, phi=RiskHeadParams.init(rng, 16), **{key: None})
         with pytest.raises(ValueError, match=rf"model\.npz: arrays: missing key '{key}'$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["n_features", "horizon", "hidden"])
+    def test_non_integer_header_is_refused_naming_the_file(self, tmp_path, key):
+        # int() would truncate 34.7 to 34
+        path = tmp_path / "model.npz"
+        self.save(path, **{key: np.array(34.7)})
+        with pytest.raises(ValueError, match=rf"model\.npz: array {key} must hold an integer, got 34\.7$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("meta", [b"{not json", b"\xff\xfe", b"[1, 2]"],
+                             ids=["not-json", "not-utf8", "not-object"])
+    def test_meta_that_is_not_a_json_object_is_refused_naming_the_file(self, tmp_path, meta):
+        path = tmp_path / "model.npz"
+        self.save(path, meta_json=np.frombuffer(meta, dtype=np.uint8))
+        with pytest.raises(ValueError, match=r"model\.npz: array meta_json does not hold a JSON object$"):
             load_checkpoint(path)
 
     def test_unknown_array_is_refused_naming_the_file(self, tmp_path):

@@ -253,6 +253,28 @@ class TestMpcStep:
         assert np.hypot(sim.state.x - goal[0], sim.state.y - goal[1]) <= 0.5
         assert sim.t * cfg.dt < 60.0
 
+    def test_empty_scan_is_planned_as_free_space(self, circle_world):
+        # every return dropped: raw_costmap gets an empty cloud and finds no obstacle at all
+        sensor = SensorConfig(noise=NoiseModel(dropout_prob=1.0))
+        cfg = fast_cfg(iterations=3)
+        factory = make_predictor_factory("raw_costmap", circle_world, sensor, cfg, EpisodeConfig(), None)[0]
+        planned = []
+
+        def spying_factory(cloud, state):
+            predictor = factory(cloud, state)
+
+            def spy(u_flat):
+                out = predictor(u_flat)
+                planned.append(out[0])
+                return out
+
+            return spy
+
+        sim = SimState(state=circle_world.start, rng=np.random.default_rng(0), bias=BiasField(sensor.noise, 0))
+        mpc_step(sim, circle_world, sensor, spying_factory, circle_world.goal, cfg)
+        assert len(planned) == cfg.iterations
+        assert all(np.array_equal(mu, np.full(cfg.samples, sensor.max_range)) for mu in planned)
+
     def test_warm_start_threads_through(self, empty_world):
         sensor = SensorConfig(noise=NoiseModel())
         cfg = fast_cfg()

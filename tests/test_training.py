@@ -27,7 +27,9 @@ from clearnav.training import (
 from clearnav.world import Box, Circle, NoiseModel, SensorConfig, World
 
 
-def small_dataset(seed=0, n_worlds=3, snaps=4, seqs=25):
+def small_dataset(seed=0, n_worlds=3, snaps=4, seqs=25, open_arena=False):
+    """With open_arena the last world has no obstacles and walls beyond the sensor's
+    range, so its snapshots hold empty scans."""
     worlds = [
         World(
             (Circle(3.0, 1.0, 0.5), Box(1.5, -2.0, 2.4, -1.0)),
@@ -37,6 +39,8 @@ def small_dataset(seed=0, n_worlds=3, snaps=4, seqs=25):
         )
         for _ in range(n_worlds)
     ]
+    if open_arena:
+        worlds[-1] = World((), (-30.0, -30.0, 30.0, 30.0), RobotState(0.0, 0.0, 0.0), (6.0, 0.0))
     sensor = SensorConfig(noise=NoiseModel(range_bias_scale=0.2, additive_sigma=0.04, dropout_prob=0.05))
     return generate_dataset(
         worlds, snaps, np.random.default_rng(seed), sensor, sequences_per_snapshot=seqs, seed=seed
@@ -110,15 +114,18 @@ class TestGenerateDataset:
         assert np.array_equal(ds.safe, (-ds.clearance + ds.d_o <= 0.0).astype(np.uint8))
 
     def test_sharing_and_shapes(self):
-        ds = small_dataset()
-        assert ds.clouds.shape[1:] == (300, 2)
+        ds = small_dataset(open_arena=True)
         assert len(ds) == ds.snapshot.shape[0] == ds.controls.shape[0]
         # one cloud per snapshot, not per sample: samples 0 and 24 share one
-        assert ds.clouds.shape[0] == ds.n_snapshots == len(ds) // 25
+        assert ds.counts.shape == (ds.n_snapshots,) and ds.n_snapshots == len(ds) // 25
         assert ds.snapshot[0] == ds.snapshot[24]
+        # the scans as the sensor returned them, one after another: the open arena's are empty
+        assert ds.points.shape == (ds.counts.sum(), 2) and ds.counts.dtype.kind == "i"
+        assert (ds.counts[:8] > 0).all() and (ds.counts[8:] == 0).all()
 
     def test_round_trip(self, tmp_path):
-        ds = small_dataset()
+        ds = small_dataset(open_arena=True)
+        assert (ds.counts == 0).any()
         path = tmp_path / "data.npz"
         ds.save(path)
         ds2 = ClearanceDataset.load(path)
@@ -154,7 +161,7 @@ def rewrite(path, **changes):
 class TestDatasetFile:
     @pytest.fixture
     def saved(self, tmp_path):
-        ds = small_dataset()
+        ds = small_dataset(open_arena=True)  # snapshots 8 to 11 hold empty scans
         path = tmp_path / "data.npz"
         ds.save(path)
         return ds, path
@@ -171,11 +178,21 @@ class TestDatasetFile:
     def test_version_1_is_refused(self, saved):
         ds, path = saved
         # the layout of version 1: float32 clouds and controls, a stored safe column, a header
-        np.savez(path, version=np.array(1), clouds=ds.clouds.astype(np.float32), states=ds.states,
+        np.savez(path, version=np.array(1), clouds=np.zeros((12, 300, 2), np.float32), states=ds.states,
                  snapshot=ds.snapshot.astype(np.int32), controls=ds.controls.astype(np.float32),
                  clearance=ds.clearance, safe=ds.safe,
                  header=np.array([ds.d_o, ds.dt, float(ds.seed), ds.fov, ds.max_range]))
-        with pytest.raises(ValueError, match=r"data\.npz: dataset version 1, expected 2; regenerate"):
+        with pytest.raises(ValueError, match=r"data\.npz: dataset version 1, expected 3; regenerate"):
+            ClearanceDataset.load(path)
+
+    def test_version_2_is_refused(self, saved):
+        _, path = saved
+        # the layout of version 2: every scan padded to 300 points in one (snapshots, 300, 2) array
+        arrays = dict(np.load(path))
+        del arrays["points"], arrays["counts"]
+        np.savez(path, **arrays | {"version": np.array(2), "clouds": np.zeros((12, 300, 2))})
+        with pytest.raises(ValueError, match=r"data\.npz: dataset version 2, expected 3; "
+                                             "regenerate it with clearnav gen-data$"):
             ClearanceDataset.load(path)
 
     @pytest.mark.parametrize("change, message", [
@@ -186,8 +203,11 @@ class TestDatasetFile:
         pytest.param({"states": np.zeros((12, 4))}, r"array states has shape \(12, 4\)", id="state-width"),
         pytest.param({"states": np.zeros((11, 5))}, r"array states has shape \(11, 5\)",
                      id="snapshot-count"),
-        pytest.param({"clouds": np.zeros((12, 299, 2))}, r"array clouds has shape \(12, 299, 2\)",
-                     id="cloud-size"),
+        pytest.param({"points": np.zeros((7, 3))}, r"array points has shape \(7, 3\)", id="cloud-size"),
+        pytest.param({"counts": np.zeros(12, int)}, r"array counts must hold non-negative integers summing to",
+                     id="count-sum"),
+        pytest.param({"counts": np.zeros(12)}, r"array counts must hold non-negative integers summing to",
+                     id="count-float"),
         pytest.param({"clearance": np.zeros(299)}, r"array clearance has shape \(299,\)",
                      id="sample-count"),
         pytest.param({"controls": np.zeros((300, 50))}, r"array controls has shape \(300, 50\)",
@@ -207,6 +227,15 @@ class TestDatasetFile:
         _, path = saved
         rewrite(path, **change)
         with pytest.raises(ValueError, match=r"data\.npz: " + message):
+            ClearanceDataset.load(path)
+
+    def test_negative_count_is_refused_though_the_sum_holds(self, saved):
+        ds, path = saved
+        counts = ds.counts.copy()
+        counts[:2] = -1, counts[0] + counts[1] + 1
+        rewrite(path, counts=counts)
+        with pytest.raises(ValueError, match=rf"data\.npz: array counts must hold non-negative integers "
+                                             rf"summing to {len(ds.points)}$"):
             ClearanceDataset.load(path)
 
 class TestReparameterize:
@@ -432,7 +461,7 @@ class TestTrain:
 
     def test_divergence_aborts(self):
         ds = small_dataset()
-        cfg = TrainConfig(epochs=20, learning_rate=1e14, seed=0)
+        cfg = TrainConfig(epochs=20, learning_rate=1e300, seed=0)  # the first step overflows
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
             train(ds, cfg, "baseline")
 

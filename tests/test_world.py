@@ -29,7 +29,6 @@ from clearnav.world import (
     scan_angles,
     scan_ranges,
     sensor_from_dict,
-    standardize_cloud,
     true_clearance,
     world_from_dict,
     world_to_dict,
@@ -295,42 +294,6 @@ class TestEstimatedScan:
         f = BiasField(noise, seed=3)
         angles = np.linspace(-1, 1, 50)
         assert not np.allclose(f.values(angles, 0), f.values(angles, 50))
-
-
-class TestStandardizeCloud:
-    def test_exactly_300_unchanged(self, quiet_sensor, rng):
-        cloud = rng.normal(0, 1, (300, 2))
-        out = standardize_cloud(cloud, quiet_sensor, rng)
-        assert np.array_equal(out, cloud)
-
-    def test_subsample_is_subset(self, quiet_sensor, rng):
-        cloud = rng.normal(0, 1, (600, 2))
-        out = standardize_cloud(cloud, quiet_sensor, rng)
-        assert out.shape == (300, 2)
-        rows = {tuple(r) for r in cloud}
-        assert all(tuple(r) in rows for r in out)
-
-    def test_empty_becomes_sentinels(self, quiet_sensor, rng):
-        out = standardize_cloud(np.empty((0, 2)), quiet_sensor, rng)
-        assert out.shape == (300, 2)
-        ranges = np.hypot(out[:, 0], out[:, 1])
-        assert ranges == pytest.approx(np.full(300, quiet_sensor.max_range))
-        bearings = np.arctan2(out[:, 1], out[:, 0])
-        assert np.abs(bearings).max() <= quiet_sensor.fov / 2 + 1e-12
-
-    @given(st.integers(0, 900))
-    @settings(max_examples=40, deadline=None)
-    def test_always_300_rows(self, n):
-        rng = np.random.default_rng(n)
-        cloud = rng.normal(0, 2, (n, 2))
-        out = standardize_cloud(cloud, SensorConfig(), rng)
-        assert out.shape == (300, 2)
-
-    def test_padding_keeps_members(self, quiet_sensor, rng):
-        cloud = rng.normal(0, 1, (40, 2))
-        out = standardize_cloud(cloud, quiet_sensor, rng)
-        rows = {tuple(r) for r in cloud}
-        assert all(tuple(r) in rows for r in out)
 
 
 class TestValidationAndIO:
