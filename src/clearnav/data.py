@@ -76,7 +76,7 @@ class ClearanceDataset:
         arrays = read_npz(path, "dataset", DATASET_VERSION, axes,
                           advice="; regenerate it with clearnav gen-data")
         counts, n_points = arrays["counts"], arrays["points"].shape[0]
-        if counts.dtype.kind not in "iu" or (counts < 0).any() or counts.sum() != n_points:
+        if counts.dtype.kind not in "iu" or (counts < 0).any() or sum(counts.tolist()) != n_points:
             raise ValueError(f"{path}: array counts must hold non-negative integers summing to {n_points}")
         snapshot, n = arrays["snapshot"], arrays["states"].shape[0]
         if snapshot.dtype.kind not in "iu" or snapshot.size and not 0 <= snapshot.min() <= snapshot.max() < n:

@@ -33,6 +33,7 @@ from .risk import draw_dirac_samples, mmd_batch, mmd_batch_grad, residual
 from .world import _check_counts
 
 MODES = ("baseline", "augmented", "nll_sigma_penalty")
+_WEIGHT_NORM_LIMIT = 1e6  # init gives ~12; weights past this mean a step size far too large
 
 
 class TrainingDiverged(RuntimeError):
@@ -321,7 +322,7 @@ def evaluate(
 def train(dataset: ClearanceDataset, cfg: TrainConfig, mode: str) -> TrainResult:
     """Mini-batch gradient descent with momentum; deterministic given cfg.seed.
 
-    Raises TrainingDiverged on a non-finite loss with step diagnostics.
+    Raises TrainingDiverged on a non-finite loss or on a weight norm past _WEIGHT_NORM_LIMIT.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -371,6 +372,9 @@ def train(dataset: ClearanceDataset, cfg: TrainConfig, mode: str) -> TrainResult
             nll_sum += terms.nll
             ce_sum += terms.ce
             n_batches += 1
+        norm = math.hypot(np.linalg.norm(params.vector), np.linalg.norm(phi.vector))
+        if not norm <= _WEIGHT_NORM_LIMIT:
+            raise TrainingDiverged(f"weights blew up in epoch {epoch}: norm {norm:.4g}")
         rng_eval = np.random.default_rng([cfg.seed, 1000 + epoch])
         eval_idx = hold_idx if hold_idx.size else train_idx
         ev = evaluate(params, phi, x_all[eval_idx], d_gt[eval_idx], safe[eval_idx], cfg, rng_eval)

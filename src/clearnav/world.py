@@ -314,9 +314,7 @@ def estimated_scan(
     return _polar_to_points(angles, ranges)
 
 
-def standardize_cloud(cloud, cfg=None, rng=None):
-    """The cloud unchanged. clearnav calls it nowhere; it stays only while perfbench/tracer.py
-    traces this name in clearnav.planner and clearnav.data."""
+def standardize_cloud(cloud):  # uncalled; kept while perfbench/tracer.py traces this name
     return cloud
 
 

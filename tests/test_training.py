@@ -229,6 +229,16 @@ class TestDatasetFile:
         with pytest.raises(ValueError, match=r"data\.npz: " + message):
             ClearanceDataset.load(path)
 
+    def test_counts_whose_sum_wraps_are_refused(self, saved):
+        ds, path = saved
+        counts = ds.counts.astype(np.int64)
+        counts[:4] += 2**62  # the int64 sum wraps back to the number of points
+        assert counts.sum() == len(ds.points)
+        rewrite(path, counts=counts)
+        with pytest.raises(ValueError, match=rf"data\.npz: array counts must hold non-negative integers "
+                                             rf"summing to {len(ds.points)}$"):
+            ClearanceDataset.load(path)
+
     def test_negative_count_is_refused_though_the_sum_holds(self, saved):
         ds, path = saved
         counts = ds.counts.copy()
@@ -460,9 +470,16 @@ class TestTrain:
         assert a.log.rows[-1] == b.log.rows[-1]
 
     def test_divergence_aborts(self):
+        # the loss stays finite (NLL ~39 at a spread ~1e15), so only the weights show it
+        ds = small_dataset()
+        cfg = TrainConfig(epochs=20, learning_rate=1e14, seed=0)
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match="weights blew up in epoch 0"):
+            train(ds, cfg, "baseline")
+
+    def test_overflowing_step_aborts(self):
         ds = small_dataset()
         cfg = TrainConfig(epochs=20, learning_rate=1e300, seed=0)  # the first step overflows
-        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match="non-finite loss"):
             train(ds, cfg, "baseline")
 
     def test_nonfinite_width_is_divergence(self):
