@@ -481,6 +481,8 @@ def run_benchmark(
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     model_paths = model_paths or {}
     _check_methods(methods, model_paths)
     ep = episode_cfg or EpisodeConfig()

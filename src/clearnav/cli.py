@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -42,6 +43,23 @@ def _or_exit(path, call, *args):
     except (ValueError, TypeError) as e:
         message = str(e)
         raise SystemExit(message if message.startswith(f"{path}: ") else f"{path}: {message}") from None
+
+
+def count(text: str) -> int:
+    """argparse type of a count: an integer >= 1. argparse names it in the error for text that
+    int() does not read (`invalid count value: '1.5'`), and `radius` likewise."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return n
+
+
+def radius(text: str) -> float:
+    """argparse type of a radius: a finite number > 0."""
+    r = float(text)
+    if not 0 < r < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return r
 
 
 def _check_out(path) -> None:
@@ -170,9 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen-data", help="generate a labeled clearance dataset")
     g.add_argument("--out", required=True)
-    g.add_argument("--worlds", type=int, default=40)
-    g.add_argument("--snapshots-per-world", type=int, default=10)
-    g.add_argument("--d-o", type=float, default=0.3)
+    g.add_argument("--worlds", type=count, default=40)
+    g.add_argument("--snapshots-per-world", type=count, default=10)
+    g.add_argument("--d-o", type=radius, default=0.3)
     g.add_argument("--seed", type=int, default=0)
     g.set_defaults(func=cmd_gen_data)
 
@@ -180,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--data", required=True)
     t.add_argument("--mode", choices=MODES, default="augmented")
     t.add_argument("--out", required=True)
-    t.add_argument("--epochs", type=int, default=60)
+    t.add_argument("--epochs", type=count, default=60)
     t.add_argument("--seed", type=int, default=0)
     t.set_defaults(func=cmd_train)
 
@@ -196,13 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="run the seeded benchmark suite")
     b.add_argument("--methods", default="oracle,raw_costmap")
-    b.add_argument("--episodes", type=int, default=10)
+    b.add_argument("--episodes", type=count, default=10)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--checkpoint", help="augmented-model checkpoint (npz)")
     b.add_argument("--baseline-checkpoint", help="baseline-model checkpoint (npz)")
     b.add_argument("--planner-config", help="PlannerConfig overrides (JSON)")
     b.add_argument("--no-noise", action="store_true", help="disable sensor noise")
-    b.add_argument("--workers", type=int, default=1)
+    b.add_argument("--workers", type=count, default=1)
     b.add_argument("--out", default="bench_out")
     b.set_defaults(func=cmd_bench)
 

@@ -116,6 +116,8 @@ def generate_dataset(
     distance over (rollout point, reference cloud point) pairs, capped at
     max_range when the reference cloud is empty.
     """
+    if not 0 < d_o < math.inf:
+        raise ValueError(f"robot radius d_o must be finite and > 0, got {d_o}")
     clouds, states, controls, clearances = [], [], [], []
     for wi, world in enumerate(worlds):
         produced = 0

@@ -357,7 +357,7 @@ def read_npz(path, kind: str, version: int, axes: dict, optional=(), advice: str
     arrays of `axes`, those in `optional` allowed to be left out, each numeric, finite and of
     its axes' lengths (an int is fixed; a str names an axis, whose length the first array of
     `axes` that has it sets). Anything else, a file that is not an npz archive included,
-    raises ValueError naming the file and the array."""
+    raises ValueError naming the file and the array, and any array that set a length it breaks."""
     arrays = None
     try:
         z = np.load(path, allow_pickle=False)
@@ -376,15 +376,20 @@ def read_npz(path, kind: str, version: int, axes: dict, optional=(), advice: str
     _check_keys(f"{path}: arrays", arrays, axes, [name for name in axes if name not in optional])
     arrays = {name: arrays[name] for name in axes if name in arrays}  # in the order of `axes`
     lengths: dict[str, int] = {}
+    setter: dict[str, str] = {}  # axis -> the array that set its length
     for name, arr in arrays.items():
         shape = axes[name]
         if arr.dtype.kind not in "iuf":
             raise ValueError(f"{path}: array {name} has dtype {arr.dtype}, not a number type")
         if arr.ndim == len(shape):  # the first array that has a named axis sets its length
-            lengths = {axis: n for axis, n in zip(shape, arr.shape) if isinstance(axis, str)} | lengths
+            for axis, n in zip(shape, arr.shape):
+                if isinstance(axis, str) and axis not in lengths:
+                    lengths[axis], setter[axis] = n, name
         expected = tuple(lengths.get(axis, axis) for axis in shape)  # an unset axis keeps its name
         if arr.shape != expected:
-            raise ValueError(f"{path}: array {name} has shape {arr.shape}, expected {expected}")
+            blame = "".join(f"; array {setter[axis]} sets {axis} to {lengths[axis]}"
+                            for axis, n in zip(shape, arr.shape) if axis in setter and lengths[axis] != n)
+            raise ValueError(f"{path}: array {name} has shape {arr.shape}, expected {expected}{blame}")
         if not np.isfinite(arr).all():
             raise ValueError(f"{path}: array {name} contains non-finite values")
     return arrays

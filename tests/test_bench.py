@@ -353,6 +353,18 @@ class TestBenchmark:
         with pytest.raises(ValueError, match=message):
             run_benchmark(methods, 2, 0, quiet(), fast_planner())
 
+    @pytest.mark.parametrize("episodes, workers, message", [(0, 1, "episodes must be >= 1"),
+                                                            (2, 0, "workers must be >= 1")],
+                             ids=["episodes", "workers"])
+    def test_count_below_one_rejected_before_any_work(self, monkeypatch, episodes, workers, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a world was built or an episode ran")
+
+        monkeypatch.setattr(bench, "suite_worlds", no_work)
+        monkeypatch.setattr(bench, "run_episode", no_work)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_benchmark(["oracle"], episodes, 0, quiet(), fast_planner(), workers=workers)
+
     def test_learned_methods_same_report_for_any_worker_count(self, tmp_path):
         rng = np.random.default_rng(3)
         paths = {}

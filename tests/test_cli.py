@@ -119,6 +119,33 @@ def test_bench_command(tmp_path, planner_file):
     assert "oracle" in report["methods"]
 
 
+@pytest.mark.parametrize("command, flag, value, expected", [
+    ("bench", "--episodes", "0", "an integer >= 1"),
+    ("bench", "--workers", "0", "an integer >= 1"),
+    ("bench", "--workers", "-3", "an integer >= 1"),
+    ("gen-data", "--worlds", "0", "an integer >= 1"),
+    ("gen-data", "--snapshots-per-world", "0", "an integer >= 1"),
+    ("gen-data", "--d-o", "0", "a finite number > 0"),
+    ("gen-data", "--d-o", "-1", "a finite number > 0"),
+    ("gen-data", "--d-o", "nan", "a finite number > 0"),
+    ("gen-data", "--d-o", "inf", "a finite number > 0"),
+    ("train", "--epochs", "0", "an integer >= 1"),
+])
+def test_bad_count_or_radius_is_one_usage_error_naming_the_flag(tmp_path, capsys, planner_file,
+                                                                command, flag, value, expected):
+    out = tmp_path / "out"
+    # valid small values first, so that a flag let through does little work
+    args = {"bench": ["--methods", "oracle", "--episodes", "1", "--planner-config", planner_file],
+            "gen-data": ["--worlds", "1", "--snapshots-per-world", "1"],
+            "train": ["--data", str(tmp_path / "data.npz")]}[command]
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *args, "--out", str(out), flag, value])
+    assert exit_info.value.code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.endswith(f"clearnav {command}: error: argument {flag}: expected {expected}, got {value!r}\n")
+    assert "Traceback" not in err
+
+
 def test_bench_rejects_unknown_method(tmp_path):
     with pytest.raises(SystemExit):
         main(["bench", "--methods", "bogus", "--episodes", "1", "--out", str(tmp_path)])

@@ -317,12 +317,22 @@ def _has_mallopt() -> bool:
     return sys.platform.startswith("linux") and getattr(ctypes.CDLL(None), "mallopt", None) is not None
 
 
+def _run_fresh(script: str) -> str:
+    """The stdout of `script` run in a fresh interpreter that imports clearnav from these sources."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(clearnav.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout
+
+
 @pytest.mark.skipif(not _has_mallopt(), reason="the heap pad needs glibc's mallopt")
 def test_plan_calls_do_not_refault_the_heap():
     # without the pad set on import, glibc trims the freed heap top after every
     # iteration and each call faults ~2k pages back in
-    src = os.path.dirname(os.path.dirname(os.path.abspath(clearnav.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _FAULT_SCRIPT], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
-    assert float(out.stdout) < 100
+    assert float(_run_fresh(_FAULT_SCRIPT)) < 100
+
+
+def test_importing_the_package_imports_no_module():
+    # so the heap pad comes with clearnav.planner alone, not with every clearnav import
+    script = "import sys, clearnav; print([m for m in sys.modules if m.startswith('clearnav')])"
+    assert _run_fresh(script) == "['clearnav']\n"

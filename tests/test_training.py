@@ -146,6 +146,16 @@ class TestGenerateDataset:
             )
         assert ds.n_snapshots == 2
 
+    @pytest.mark.parametrize("d_o", [0.0, -1.0, math.nan, math.inf])
+    def test_radius_not_finite_and_positive_is_refused_before_sampling(self, monkeypatch, d_o):
+        def no_pose(*args):
+            raise AssertionError("a pose was sampled")
+
+        monkeypatch.setattr(clearnav.data, "sample_free_pose", no_pose)
+        world = World((), (-5, -5, 5, 5), RobotState(0, 0, 0), (1, 1))
+        with pytest.raises(ValueError, match=rf"robot radius d_o must be finite and > 0, got {d_o}$"):
+            generate_dataset([world], 1, np.random.default_rng(0), SensorConfig(), d_o=d_o)
+
 
 def rewrite(path, **changes):
     """Rewrite the npz at path with arrays replaced; a None value drops the array."""
@@ -203,6 +213,9 @@ class TestDatasetFile:
         pytest.param({"states": np.zeros((12, 4))}, r"array states has shape \(12, 4\)", id="state-width"),
         pytest.param({"states": np.zeros((11, 5))}, r"array states has shape \(11, 5\)",
                      id="snapshot-count"),
+        pytest.param({"counts": np.zeros(11, int)},
+                     r"array states has shape \(12, 5\), expected \(11, 5\); array counts sets snapshots to 11$",
+                     id="count-length"),
         pytest.param({"points": np.zeros((7, 3))}, r"array points has shape \(7, 3\)", id="cloud-size"),
         pytest.param({"counts": np.zeros(12, int)}, r"array counts must hold non-negative integers summing to",
                      id="count-sum"),
