@@ -27,9 +27,11 @@ from clearnav.bench import (
     DESK_NOISE,
     EpisodeConfig,
     SuiteConfig,
+    model_from_checkpoint,
     run_benchmark,
     suite_worlds,
 )
+from clearnav.cli import count, seed
 from clearnav.data import ClearanceDataset, generate_dataset
 from clearnav.model import save_checkpoint
 from clearnav.training import TrainConfig, train
@@ -39,11 +41,11 @@ from clearnav.world import SensorConfig
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="runs/ablation")
-    ap.add_argument("--episodes", type=int, default=60)
-    ap.add_argument("--epochs", type=int, default=80)
-    ap.add_argument("--samples", type=int, default=22000)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=2)
+    ap.add_argument("--episodes", type=count, default=60)
+    ap.add_argument("--epochs", type=count, default=80)
+    ap.add_argument("--samples", type=count, default=22000)
+    ap.add_argument("--seed", type=seed, default=0)
+    ap.add_argument("--workers", type=count, default=2)
     args = ap.parse_args()
     os.makedirs(args.out, exist_ok=True)
 
@@ -89,7 +91,7 @@ def main() -> int:
         BENCH_PLANNER,
         EpisodeConfig(),
         workers=args.workers,
-        model_paths=paths,
+        models={name: model_from_checkpoint(path) for name, path in paths.items()},
     )
     report.save(os.path.join(args.out, "report.json"))
     print(f"benchmark: {time.time()-t0:.0f}s")

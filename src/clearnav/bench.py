@@ -16,6 +16,7 @@ episode reflects planner failure rather than infeasibility.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -410,7 +411,6 @@ def suite_worlds(n: int, seed: int, suite: SuiteConfig | None = None) -> list[Wo
 # ---------------------------------------------------------------------------
 # Benchmark
 
-_worker_models: dict[str, LearnedModel] = {}  # this worker process's models, set by its pool
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -432,22 +432,10 @@ def _one_blas_thread_env():
                 os.environ[k] = v
 
 
-def _load_models(model_paths: dict[str, str]) -> dict[str, LearnedModel]:
-    return {k: model_from_checkpoint(p) for k, p in model_paths.items()}
-
-
-def _load_worker_models(model_paths: dict[str, str]) -> None:
-    """Pool initializer: load each checkpoint once for the life of the worker process."""
-    global _worker_models
-    _worker_models = _load_models(model_paths)
-
-
-def _episode_job(args, models: dict[str, LearnedModel] | None = None):
-    """Run one benchmark episode and summarize it; a pool worker plans with its own models."""
+def _episode_job(args, models: dict[str, LearnedModel] | None):
+    """Run one benchmark episode and summarize it."""
     world, method, seed, sensor, planner_cfg, episode_cfg = args
-    out = run_episode(world, method, seed, sensor, planner_cfg, episode_cfg,
-                      _worker_models if models is None else models)
-    return _summarize(out)
+    return _summarize(run_episode(world, method, seed, sensor, planner_cfg, episode_cfg, models))
 
 
 def _summarize(out: EpisodeOutcome) -> dict:
@@ -468,23 +456,22 @@ def run_benchmark(
     episode_cfg: EpisodeConfig | None = None,
     suite: SuiteConfig | None = None,
     workers: int = 1,
-    model_paths: dict[str, str] | None = None,
+    models: dict[str, LearnedModel] | None = None,
 ) -> BenchmarkReport:
     """Run E seeded episodes per method on a procedurally generated suite.
 
     Episode e of every method shares world e and the episode seed [seed, e],
     so methods face identical scenarios. Results are deterministic for a given
-    (seed, config) regardless of worker count. `model_paths` maps "augmented"
-    and "baseline_nll" to the checkpoints of the learned methods; the process
-    running the episodes, or each of the `workers` > 1 processes spawned with
-    BLAS pinned to one thread, loads them once.
+    (seed, config) regardless of worker count. `models` maps "augmented" and
+    "baseline_nll" to the models of the learned methods; with `workers` > 1 the
+    episodes run in that many processes spawned with BLAS pinned to one thread,
+    and each job carries the models to its worker.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    model_paths = model_paths or {}
-    _check_methods(methods, model_paths)
+    _check_methods(methods, models or {})
     ep = episode_cfg or EpisodeConfig()
     worlds = suite_worlds(episodes, seed, suite)
     cfg_payload = {
@@ -498,18 +485,16 @@ def run_benchmark(
     }
     jobs = [(world, method, _episode_seed(seed, e), sensor, planner_cfg, ep)
             for method in methods for e, world in enumerate(worlds)]
-    # loaded here on either path, so a checkpoint that does not load fails before any worker starts
-    models = _load_models(model_paths)
+    job = functools.partial(_episode_job, models=models)
     if workers > 1:
         # spawned workers load numpy afresh with one BLAS thread each, so that
         # `workers` processes do not oversubscribe the cores with BLAS threads
         with _one_blas_thread_env(), ProcessPoolExecutor(
             max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
-            initializer=_load_worker_models, initargs=(model_paths,),
         ) as pool:
-            results = list(pool.map(_episode_job, jobs))
+            results = list(pool.map(job, jobs))
     else:
-        results = [_episode_job(job, models) for job in jobs]
+        results = list(map(job, jobs))
     outcomes: dict[str, list[dict]] = {}
     for res in results:
         outcomes.setdefault(res["method"], []).append(res)

@@ -13,6 +13,7 @@ from .bench import (
     DESK_NOISE,
     METHODS,
     EpisodeConfig,
+    LearnedModel,
     MissingCheckpointError,
     SuiteConfig,
     _check_methods,
@@ -51,6 +52,14 @@ def count(text: str) -> int:
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return n
+
+
+def seed(text: str) -> int:
+    """argparse type of a seed: an integer >= 0, as np.random.default_rng takes it."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
     return n
 
 
@@ -116,9 +125,9 @@ def cmd_train(args) -> int:
 _CHECKPOINT_FLAGS = {"augmented": "--checkpoint", "baseline_nll": "--baseline-checkpoint"}
 
 
-def _checkpoint_paths(args, methods: list[str]) -> dict[str, str]:
-    """The checkpoint given for each model key; exits on an unknown or repeated
-    method, or on a learned one whose checkpoint flag is missing."""
+def _models(args, methods: list[str]) -> dict[str, LearnedModel]:
+    """The model loaded from each checkpoint given; exits on an unknown or repeated method,
+    on a learned one whose checkpoint flag is missing, or on a checkpoint that does not load."""
     paths = {key: path for key, flag in _CHECKPOINT_FLAGS.items()
              if (path := getattr(args, flag.lstrip("-").replace("-", "_")))}
     try:
@@ -127,17 +136,16 @@ def _checkpoint_paths(args, methods: list[str]) -> dict[str, str]:
         raise SystemExit(f"{e}: give it with {_CHECKPOINT_FLAGS[e.key]}") from None
     except ValueError as e:
         raise SystemExit(str(e)) from None
-    return paths
+    return {key: _or_exit(path, model_from_checkpoint, path) for key, path in paths.items()}
 
 
 def cmd_episode(args) -> int:
-    world, sensor, seed, _ = _or_exit(args.scenario, load_scenario, args.scenario)
+    world, sensor, seed = _or_exit(args.scenario, load_scenario, args.scenario)
     if args.seed is not None:
         seed = args.seed
     cfg = _or_exit(args.planner_config, _planner_from_json, args.planner_config)
     _or_exit(args.scenario, world.validate, cfg.d_o)
-    models = {key: _or_exit(path, model_from_checkpoint, path)
-              for key, path in _checkpoint_paths(args, [args.method]).items()}
+    models = _models(args, [args.method])
     out = run_episode(world, args.method, seed, sensor, cfg, EpisodeConfig(), models)
     csv_path, replay_path = emit_traces(out, args.out, stem=f"{args.method}")
     print(
@@ -150,9 +158,7 @@ def cmd_episode(args) -> int:
 
 def cmd_bench(args) -> int:
     methods = args.methods.split(",")
-    model_paths = _checkpoint_paths(args, methods)
-    for path in model_paths.values():  # run_benchmark loads them again; this refuses one in one line
-        _or_exit(path, model_from_checkpoint, path)
+    models = _models(args, methods)
     sensor = _default_sensor(noisy=not args.no_noise)
     report = run_benchmark(
         methods,
@@ -162,7 +168,7 @@ def cmd_bench(args) -> int:
         _or_exit(args.planner_config, _planner_from_json, args.planner_config),
         EpisodeConfig(),
         workers=args.workers,
-        model_paths=model_paths,
+        models=models,
     )
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "report.json")
@@ -191,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--worlds", type=count, default=40)
     g.add_argument("--snapshots-per-world", type=count, default=10)
     g.add_argument("--d-o", type=radius, default=0.3)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=seed, default=0)
     g.set_defaults(func=cmd_gen_data)
 
     t = sub.add_parser("train", help="train the clearance model")
@@ -199,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--mode", choices=MODES, default="augmented")
     t.add_argument("--out", required=True)
     t.add_argument("--epochs", type=count, default=60)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=seed, default=0)
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("episode", help="run one scenario episode and emit traces")
@@ -208,14 +214,14 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--checkpoint", help="augmented-model checkpoint (npz)")
     e.add_argument("--baseline-checkpoint", help="baseline-model checkpoint (npz)")
     e.add_argument("--planner-config", help="PlannerConfig overrides (JSON)")
-    e.add_argument("--seed", type=int)
+    e.add_argument("--seed", type=seed)
     e.add_argument("--out", default="traces")
     e.set_defaults(func=cmd_episode)
 
     b = sub.add_parser("bench", help="run the seeded benchmark suite")
     b.add_argument("--methods", default="oracle,raw_costmap")
     b.add_argument("--episodes", type=count, default=10)
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--seed", type=seed, default=0)
     b.add_argument("--checkpoint", help="augmented-model checkpoint (npz)")
     b.add_argument("--baseline-checkpoint", help="baseline-model checkpoint (npz)")
     b.add_argument("--planner-config", help="PlannerConfig overrides (JSON)")

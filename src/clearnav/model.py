@@ -73,10 +73,12 @@ class _FlatParams:
 
     A float64 vector is used as given, not copied: updating `vector` in place
     updates every named array, and writing into a named array writes into
-    `vector`.
+    `vector`. Pickling keeps the views: the pickle holds `vector` and the
+    header, and unpickling rebuilds the named arrays from the new vector.
     """
 
     axes: dict[str, tuple] = {}  # the named axes of each array, as world.read_npz takes them
+    header: tuple[str, ...] = ()  # the attributes that __init__ takes after `vector`, in order
 
     def __init__(self, vector: np.ndarray, **lengths: int):
         """`lengths` gives the length of every named axis."""
@@ -92,6 +94,9 @@ class _FlatParams:
             setattr(self, name, vector[off : off + n].reshape(shape))
             off += n
 
+    def __reduce__(self):
+        return type(self), (self.vector, *(getattr(self, k) for k in self.header))
+
 
 class ModelParams(_FlatParams):
     """Weights of the prediction network: 2 tanh hidden layers, 3 linear heads.
@@ -104,6 +109,7 @@ class ModelParams(_FlatParams):
     axes = {"w1": ("hidden", "inputs"), "b1": ("hidden",), "w2": ("hidden", "hidden"),
             "b2": ("hidden",), "w3": (3, "hidden"), "b3": (3,)}
     names = tuple(axes)
+    header = ("n_features", "horizon", "hidden")
 
     def __init__(self, vector: np.ndarray, n_features: int, horizon: int, hidden: int):
         self.n_features = n_features
@@ -139,6 +145,7 @@ class RiskHeadParams(_FlatParams):
 
     axes = {"v1": ("risk_hidden",), "c1": ("risk_hidden",), "v2": (2, "risk_hidden"), "c2": (2,)}
     names = tuple(axes)
+    header = ("hidden",)
 
     def __init__(self, vector: np.ndarray, hidden: int):
         self.hidden = hidden

@@ -28,7 +28,7 @@ import numpy as np
 
 from .dynamics import RobotState, clip_command_batch, rollout_batch, step
 from .risk import draw_dirac_samples, mmd_batch, residual
-from .world import BiasField, SensorConfig, World, _check_counts, estimated_scan
+from .world import BiasField, SensorConfig, World, _check_counts, _check_finite, estimated_scan
 from .world import standardize_cloud  # unused here: perfbench/tracer.py traces this binding
 
 _M_TOP_PAD = -2  # glibc <malloc.h>
@@ -99,6 +99,7 @@ class PlannerConfig:
         for name in ("init_var", "var_floor", "dirac_variance"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
+        _check_finite(self)
 
 
 @dataclass

@@ -438,21 +438,18 @@ def sensor_from_dict(d: dict) -> SensorConfig:
     return _from_dict(SensorConfig, d, "sensor", noise=lambda n: _from_dict(NoiseModel, n, "noise"))
 
 
-def save_scenario(path, world: World, sensor: SensorConfig, seed: int, extra: dict | None = None) -> None:
+def save_scenario(path, world: World, sensor: SensorConfig, seed: int) -> None:
     doc = {"seed": int(seed), "world": world_to_dict(world), "sensor": asdict(sensor)}
-    if extra:
-        doc.update(extra)
     with open(path, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
 
 
-def load_scenario(path) -> tuple[World, SensorConfig, int, dict]:
-    """Load (world, sensor, seed, extras) from a scenario JSON file."""
+def load_scenario(path) -> tuple[World, SensorConfig, int]:
+    """Load (world, sensor, seed) from a scenario JSON file."""
     with open(path) as f:
         doc = json.load(f)
-    if "world" not in doc:
-        raise ValueError("scenario: missing key 'world'")
-    world = world_from_dict(doc["world"])
-    sensor = sensor_from_dict(doc.get("sensor", {}))
-    extras = {k: v for k, v in doc.items() if k not in ("world", "sensor", "seed")}
-    return world, sensor, int(doc.get("seed", 0)), extras
+    _check_keys("scenario", doc, ("seed", "world", "sensor"), ("world",))
+    seed = doc.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"scenario: seed must be an integer >= 0, got {seed!r}")
+    return world_from_dict(doc["world"]), sensor_from_dict(doc.get("sensor", {})), seed

@@ -262,6 +262,13 @@ class TestRunEpisode:
 META = {"fov": SensorConfig().fov, "max_range": 5.0, "n_sectors": 32, "dt": 0.1}
 
 
+def tiny_models(*keys: str, seed: int = 0) -> dict[str, LearnedModel]:
+    """Untrained models of hidden width 8 that fit the default sensor and planner, by key."""
+    rng = np.random.default_rng(seed)
+    return {key: LearnedModel(ModelParams.init(rng, 34, 50, 8), PolarFeaturizer(META["fov"], 5.0, 32), 0.1)
+            for key in keys}
+
+
 class TestLearnedModelBoundaries:
     def params(self, horizon=50):
         return ModelParams.init(np.random.default_rng(0), 34, horizon, hidden=8)
@@ -328,18 +335,17 @@ class TestBenchmark:
 
     @pytest.mark.parametrize("method, needed", [("augmented", "augmented"), ("det", "augmented"),
                                                 ("baseline_nll", "baseline_nll")])
-    def test_missing_checkpoint_rejected(self, monkeypatch, tmp_path, method, needed):
-        # the learned method and the checkpoint it lacks are named before any episode runs
+    def test_missing_checkpoint_rejected(self, monkeypatch, method, needed):
+        # the learned method and the model it lacks are named before any episode runs
         def no_episode(*args, **kwargs):
             raise AssertionError("an episode ran")
 
         monkeypatch.setattr("clearnav.bench.run_episode", no_episode)
         other = "baseline_nll" if needed == "augmented" else "augmented"
-        paths = {other: str(tmp_path / "unused.npz")}
         for workers in (1, 2):
             with pytest.raises(ValueError, match=f"{method!r} needs a {needed!r} checkpoint"):
                 run_benchmark(["oracle", method], 1, 0, quiet(), fast_planner(), workers=workers,
-                              model_paths=paths)
+                              models=tiny_models(other))
 
     @pytest.mark.parametrize("methods, message", [(["oracle", "bogus"], "unknown method 'bogus'"),
                                                   (["oracle", "oracle"], "'oracle' is listed twice")],
@@ -365,45 +371,34 @@ class TestBenchmark:
         with pytest.raises(ValueError, match=f"^{message}$"):
             run_benchmark(["oracle"], episodes, 0, quiet(), fast_planner(), workers=workers)
 
-    def test_learned_methods_same_report_for_any_worker_count(self, tmp_path):
-        rng = np.random.default_rng(3)
-        paths = {}
-        for name in ("augmented", "baseline_nll"):
-            paths[name] = str(tmp_path / f"{name}.npz")
-            save_checkpoint(paths[name], ModelParams.init(rng, 34, 50, 8), None, META)
+    def test_learned_methods_same_report_for_any_worker_count(self):
+        # the models exist in no file: the workers plan with the ones each job carries
+        models = tiny_models("augmented", "baseline_nll", seed=3)
         cfg = fast_planner(iterations=2, samples=32, risk_elites=8, elites=4)
         ep = EpisodeConfig(timeout_s=1.0)
         methods = ["augmented", "baseline_nll", "det"]
-        a = run_benchmark(methods, 2, 4, quiet(), cfg, ep, workers=1, model_paths=paths)
-        b = run_benchmark(methods, 2, 4, quiet(), cfg, ep, workers=2, model_paths=paths)
+        a = run_benchmark(methods, 2, 4, quiet(), cfg, ep, workers=1, models=models)
+        b = run_benchmark(methods, 2, 4, quiet(), cfg, ep, workers=2, models=models)
         assert a.to_json() == b.to_json()
         assert all(len(a.outcomes[m]) == 2 for m in methods)
 
-    def test_worker_loads_each_checkpoint_once(self, monkeypatch, tmp_path):
-        paths = {}
-        for name in ("augmented", "baseline_nll"):
-            paths[name] = str(tmp_path / f"{name}.npz")
-            save_checkpoint(paths[name], ModelParams.init(np.random.default_rng(0), 34, 50, 8), None,
-                            META)
-        loads, seen = [], []
+    def test_run_benchmark_reads_no_checkpoint_file(self, monkeypatch):
+        # every episode plans with the models it was given; none is loaded
+        def no_load(*args, **kwargs):
+            raise AssertionError("a checkpoint was read")
 
-        def counting_load(path):
-            loads.append(path)
-            return model_from_checkpoint(path)
+        seen = []
 
         def fake_episode(world, method, seed, sensor, planner_cfg, episode_cfg, models):
             seen.append(models)
             return fake_outcome("reached", seed, method)
 
-        monkeypatch.setattr(bench, "_worker_models", {})
-        monkeypatch.setattr(bench, "model_from_checkpoint", counting_load)
+        monkeypatch.setattr(bench, "load_checkpoint", no_load)
+        monkeypatch.setattr(bench, "model_from_checkpoint", no_load)
         monkeypatch.setattr(bench, "run_episode", fake_episode)
-        bench._load_worker_models(paths)
-        world = make_clutter_world(np.random.default_rng(0))
-        for method in ("augmented", "baseline_nll"):
-            bench._episode_job((world, method, 0, quiet(), fast_planner(), EpisodeConfig()))
-        assert sorted(loads) == sorted(paths.values())
-        assert len(seen) == 2 and all(set(m) == set(paths) for m in seen)
+        models = tiny_models("augmented", "baseline_nll")
+        run_benchmark(["augmented", "baseline_nll", "det"], 2, 0, quiet(), fast_planner(), models=models)
+        assert len(seen) == 6 and all(m is models for m in seen)
 
     def test_report_splits_stuck_from_timeout(self, monkeypatch):
         results = iter(["reached", "collided", "stuck", "timeout", "timeout"])

@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 import clearnav.cli
+from clearnav.bench import model_from_checkpoint
 from clearnav.cli import main
 from clearnav.data import ClearanceDataset
 from clearnav.dynamics import RobotState
+from clearnav.model import ModelParams, save_checkpoint
 from clearnav.world import Circle, NoiseModel, SensorConfig, World, save_scenario
 
-from test_bench import replay_doc
+from test_bench import META, replay_doc
 from test_world import MALFORMED_SCENARIOS, scenario_doc
 
 
@@ -130,14 +132,20 @@ def test_bench_command(tmp_path, planner_file):
     ("gen-data", "--d-o", "nan", "a finite number > 0"),
     ("gen-data", "--d-o", "inf", "a finite number > 0"),
     ("train", "--epochs", "0", "an integer >= 1"),
+    ("gen-data", "--seed", "-1", "an integer >= 0"),
+    ("train", "--seed", "-1", "an integer >= 0"),
+    ("episode", "--seed", "-1", "an integer >= 0"),
+    ("bench", "--seed", "-1", "an integer >= 0"),
 ])
 def test_bad_count_or_radius_is_one_usage_error_naming_the_flag(tmp_path, capsys, planner_file,
-                                                                command, flag, value, expected):
+                                                                scenario_file, command, flag, value,
+                                                                expected):
     out = tmp_path / "out"
     # valid small values first, so that a flag let through does little work
     args = {"bench": ["--methods", "oracle", "--episodes", "1", "--planner-config", planner_file],
             "gen-data": ["--worlds", "1", "--snapshots-per-world", "1"],
-            "train": ["--data", str(tmp_path / "data.npz")]}[command]
+            "train": ["--data", str(tmp_path / "data.npz")],
+            "episode": ["--scenario", scenario_file, "--planner-config", planner_file]}[command]
     with pytest.raises(SystemExit) as exit_info:
         main([command, *args, "--out", str(out), flag, value])
     assert exit_info.value.code == 2 and not out.exists()
@@ -184,6 +192,30 @@ def test_refused_checkpoint_exits_with_the_loaders_line(tmp_path, scenario_file,
     assert not (tmp_path / "out").exists()
 
 
+def test_bench_reads_each_checkpoint_once(tmp_path, monkeypatch, planner_file):
+    # each checkpoint is deleted once read: a second read, in this process or a worker, fails
+    paths = {}
+    for name in ("augmented", "baseline_nll"):
+        paths[name] = tmp_path / f"{name}.npz"
+        save_checkpoint(paths[name], ModelParams.init(np.random.default_rng(0), 34, 50, 8), None, META)
+    loads = []
+
+    def load_and_delete(path):
+        loads.append(path)
+        model = model_from_checkpoint(path)
+        os.remove(path)
+        return model
+
+    monkeypatch.setattr(clearnav.cli, "model_from_checkpoint", load_and_delete)
+    out_dir = tmp_path / "bench"
+    rc = main(["bench", "--methods", "augmented,baseline_nll,det", "--episodes", "1", "--workers", "2",
+               "--checkpoint", str(paths["augmented"]), "--baseline-checkpoint", str(paths["baseline_nll"]),
+               "--planner-config", planner_file, "--out", str(out_dir)])
+    assert rc == 0 and sorted(loads) == sorted(map(str, paths.values()))
+    with open(out_dir / "report.json") as f:
+        assert len(json.load(f)["outcomes"]) == 3
+
+
 @pytest.mark.parametrize("change, message", MALFORMED_SCENARIOS)
 def test_episode_exits_naming_the_scenario_and_the_key(tmp_path, planner_file, change, message):
     path = tmp_path / "bad.json"
@@ -201,6 +233,18 @@ def test_planner_config_unknown_key_exits_naming_the_file(tmp_path, scenario_fil
     args = (["episode", "--scenario", scenario_file] if command == "episode"
             else ["bench", "--methods", "oracle", "--episodes", "1"])
     with pytest.raises(SystemExit, match=r"planner\.json: planner config: unknown key 'iteration'$"):
+        main(args + ["--planner-config", str(path), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["episode", "bench"])
+def test_planner_config_non_finite_value_exits_naming_the_file(tmp_path, scenario_file, command):
+    # json reads NaN: refused when the config is read, not mid-plan
+    path = tmp_path / "planner.json"
+    path.write_text('{"w_risk": NaN}')
+    args = (["episode", "--scenario", scenario_file] if command == "episode"
+            else ["bench", "--methods", "oracle", "--episodes", "1"])
+    with pytest.raises(SystemExit, match=r"planner\.json: PlannerConfig\.w_risk must be finite$"):
         main(args + ["--planner-config", str(path), "--out", str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import pickle
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +13,13 @@ from hypothesis import strategies as st
 
 import clearnav.data
 import clearnav.model
-from clearnav.bench import EpisodeConfig, make_clutter_world, make_predictor_factory, run_episode
+from clearnav.bench import (
+    EpisodeConfig,
+    make_clutter_world,
+    make_predictor_factory,
+    model_from_checkpoint,
+    run_episode,
+)
 from clearnav.data import generate_dataset
 from clearnav.dynamics import RobotState, rollout_batch, sample_controls
 from clearnav.model import (
@@ -556,6 +563,24 @@ class TestCheckpoint:
         assert np.array_equal(params.vector[-3:], np.zeros(3))
         with pytest.raises(ValueError, match="vector"):
             ModelParams(vec[:-1], params.n_features, params.horizon, params.hidden)
+
+    def test_pickled_model_keeps_its_views_and_predictions(self, rng):
+        # a benchmark job carries the models to its worker by pickle
+        model = model_from_checkpoint(Path(__file__).parents[1] / "perfbench" / "weights" / "augmented.npz")
+        blob = pickle.dumps(model)
+        copy = pickle.loads(blob)
+        params = copy.params
+        assert len(blob) < 1.1 * params.vector.nbytes  # one copy of the weights, not two
+        for name in params.names:
+            assert np.shares_memory(getattr(params, name), params.vector), name
+        obs = rng.uniform(0, 1, params.n_features)
+        u = rng.uniform(-1, 1, (16, 2 * params.horizon))
+        for a, b in zip(predict_batch(model.params, obs, u), predict_batch(params, obs, u)):
+            assert a.tobytes() == b.tobytes()
+        phi = RiskHeadParams.init(rng, 16)
+        phi2 = pickle.loads(pickle.dumps(phi))
+        assert phi2.hidden == 16 and np.array_equal(phi2.vector, phi.vector)
+        assert all(np.shares_memory(getattr(phi2, name), phi2.vector) for name in phi2.names)
 
     def test_rejects_nonfinite_params(self, tmp_path):
         # non-finite weights are refused where they enter the program

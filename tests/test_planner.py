@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import subprocess
 import sys
@@ -182,6 +183,14 @@ class TestPlan:
             message = rf"^PlannerConfig\.risk_draws must be >= 1, got {risk_draws}$"
             with pytest.raises(ValueError, match=message):
                 fast_cfg(risk_draws=risk_draws)
+
+    @pytest.mark.parametrize("name, value", [("w_state", math.nan), ("w_risk", math.nan),
+                                             ("w_effort", math.inf), ("dt", math.inf), ("d_o", math.inf),
+                                             ("init_v", math.nan), ("init_v", -math.inf)])
+    def test_non_finite_value_rejected(self, name, value):
+        # values the range checks let through; json reads NaN and Infinity into a config file
+        with pytest.raises(ValueError, match=rf"^PlannerConfig\.{name} must be finite$"):
+            fast_cfg(**{name: value})
 
     @pytest.mark.parametrize("name", ["init_var", "var_floor", "dirac_variance"])
     def test_variances_nonnegative(self, name):

@@ -337,7 +337,7 @@ class TestValidationAndIO:
         sensor = SensorConfig(noise=NoiseModel(range_bias_scale=0.2, dropout_prob=0.1))
         path = tmp_path / "scenario.json"
         save_scenario(path, circle_world, sensor, seed=77)
-        world2, sensor2, seed, _ = load_scenario(path)
+        world2, sensor2, seed = load_scenario(path)
         assert seed == 77
         assert sensor2 == sensor
         assert world_to_dict(world2) == world_to_dict(circle_world)
@@ -423,7 +423,7 @@ def scenario_doc(**changes) -> dict:
     return doc
 
 
-# each section of a scenario: an unknown key, and a missing key it requires
+# each section of a scenario: an unknown key, a missing key it requires, and a bad seed
 MALFORMED_SCENARIOS = [
     pytest.param({"sensor.n_ray": 10}, "sensor: unknown key 'n_ray'", id="sensor-unknown"),
     pytest.param({"sensor.noise.sigma": 0.1}, "noise: unknown key 'sigma'", id="noise-unknown"),
@@ -437,6 +437,11 @@ MALFORMED_SCENARIOS = [
     pytest.param({"world.walls": []}, "world: unknown key 'walls'", id="world-unknown"),
     pytest.param({"world.goal": None}, "world: missing key 'goal'", id="world-missing"),
     pytest.param({"world": None}, "scenario: missing key 'world'", id="scenario-missing"),
+    pytest.param({"sensr": {"n_rays": 60}}, "scenario: unknown key 'sensr'", id="scenario-unknown"),
+    pytest.param({"note": "kept"}, "scenario: unknown key 'note'", id="scenario-extra"),
+    pytest.param({"seed": 1.5}, r"scenario: seed must be an integer >= 0, got 1\.5", id="seed-float"),
+    pytest.param({"seed": True}, "scenario: seed must be an integer >= 0, got True", id="seed-bool"),
+    pytest.param({"seed": -3}, "scenario: seed must be an integer >= 0, got -3", id="seed-negative"),
     pytest.param({"world.obstacles": [5]}, "world: obstacles must be a list of objects",
                  id="obstacle-not-object"),
     pytest.param({"world.obstacles": {"type": "circle", "center": [5.0, 4.0], "radius": 0.5}},
@@ -457,11 +462,11 @@ class TestStrictScenario:
 
     def test_valid_document_loads_with_dataclass_defaults(self, tmp_path):
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(scenario_doc(**{"world.obstacles": None, "note": "kept"})))
-        world, sensor, seed, extras = load_scenario(path)
+        path.write_text(json.dumps(scenario_doc(**{"world.obstacles": None})))
+        world, sensor, seed = load_scenario(path)
         assert sensor == SensorConfig(n_rays=60, noise=NoiseModel(additive_sigma=0.02))
         assert world.start == RobotState(1.0, 1.0, 0.0) and world.obstacles == ()
-        assert (seed, extras) == (3, {"note": "kept"})
+        assert seed == 3
 
     @pytest.mark.parametrize("change, message", MALFORMED_SCENARIOS)
     def test_malformed_section_is_refused(self, tmp_path, change, message):
