@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Single-obstacle episode with a biased sensor: traces and an optional plot.
 
-Runs one seeded episode where the estimated cloud is systematically offset
-from the truth, writes the per-step CSV + replay JSON, and (with matplotlib
+Writes a scenario with one obstacle between start and goal, seen through a
+sensor whose estimated cloud is systematically offset from the truth, runs it
+with `clearnav episode` (per-step CSV + replay JSON), and (with matplotlib
 available) saves a top-down figure of the path, the obstacle, and the speed
 profile against obstacle distance.
 
@@ -19,47 +20,28 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from clearnav.bench import (
-    BENCH_PLANNER,
-    DESK_NOISE,
-    EpisodeConfig,
-    emit_traces,
-    model_from_checkpoint,
-    run_episode,
-)
+from clearnav import cli
+from clearnav.bench import DESK_NOISE
 from clearnav.dynamics import RobotState
-from clearnav.world import Circle, SensorConfig, World
+from clearnav.world import Circle, SensorConfig, World, save_scenario
 
-
-def single_obstacle_world() -> World:
-    return World(
-        (Circle(3.0, 0.0, 0.45),),
-        (-1.0, -4.0, 9.0, 4.0),
-        RobotState(0.0, 0.0, 0.0),
-        (6.0, 0.0),
-    )
+OBSTACLE = Circle(3.0, 0.0, 0.45)
+WORLD = World((OBSTACLE,), (-1.0, -4.0, 9.0, 4.0), RobotState(0.0, 0.0, 0.0), (6.0, 0.0))
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--checkpoint", required=True)
-    ap.add_argument("--method", default="augmented")
-    ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--checkpoint", required=True, help="augmented-model checkpoint (npz)")
+    ap.add_argument("--method", default="augmented", help="checked by clearnav episode")
+    ap.add_argument("--seed", default="7", help="checked by clearnav episode")
     ap.add_argument("--out", default="runs/demo")
     args = ap.parse_args()
 
-    world = single_obstacle_world()
-    sensor = SensorConfig(noise=DESK_NOISE)
-    models = {"augmented": model_from_checkpoint(args.checkpoint)}
-    out = run_episode(
-        world, args.method, args.seed, sensor, BENCH_PLANNER, EpisodeConfig(), models
-    )
-    csv_path, replay_path = emit_traces(out, args.out, stem=f"demo_{args.method}")
-    print(
-        f"{args.method}: {out.result} in {out.duration:.1f}s, "
-        f"min clearance {out.min_true_clearance:.3f} m, avg speed {out.avg_speed:.2f} m/s"
-    )
-    print(f"trace: {csv_path}\nreplay: {replay_path}")
+    os.makedirs(args.out, exist_ok=True)
+    scenario = os.path.join(args.out, "single_obstacle.json")
+    save_scenario(scenario, WORLD, SensorConfig(noise=DESK_NOISE), seed=0)
+    cli.main(["episode", "--scenario", scenario, "--method", args.method, "--checkpoint", args.checkpoint,
+              "--seed", args.seed, "--out", args.out])
 
     try:
         import matplotlib
@@ -70,11 +52,11 @@ def main() -> int:
         print("matplotlib unavailable; skipping plot")
         return 0
 
-    tr = out.trace
+    tr = np.genfromtxt(os.path.join(args.out, f"{args.method}.csv"), delimiter=",", names=True)
     fig, (ax1, ax2) = plt.subplots(1, 2, figsize=(11, 4.2))
-    ax1.add_patch(plt.Circle((3.0, 0.0), 0.45, color="tab:red", alpha=0.5))
+    ax1.add_patch(plt.Circle((OBSTACLE.cx, OBSTACLE.cy), OBSTACLE.radius, color="tab:red", alpha=0.5))
     ax1.plot(tr["x"], tr["y"], "-o", ms=2, lw=1, label="executed path")
-    ax1.plot(*world.goal, "g*", ms=14, label="goal")
+    ax1.plot(*WORLD.goal, "g*", ms=14, label="goal")
     ax1.set_aspect("equal")
     ax1.set_xlabel("x (m)")
     ax1.set_ylabel("y (m)")
@@ -83,7 +65,7 @@ def main() -> int:
     ax2.set_xlabel("true obstacle clearance (m)")
     ax2.set_ylabel("commanded speed (m/s)")
     fig.tight_layout()
-    png = os.path.join(args.out, f"demo_{args.method}.png")
+    png = os.path.join(args.out, f"{args.method}.png")
     fig.savefig(png, dpi=130)
     print(f"plot: {png}")
     return 0

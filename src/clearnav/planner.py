@@ -20,6 +20,7 @@ about 1 MB. Where mallopt is missing the import does nothing to malloc.
 from __future__ import annotations
 
 import ctypes
+import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
@@ -59,16 +60,16 @@ class PlanningError(RuntimeError):
 
 @dataclass
 class PlannerConfig:
-    iterations: int = 20  # M
-    samples: int = 512  # n
-    risk_elites: int = 128  # n_c, constraint-elite count
-    elites: int = 32  # n_e
-    risk_draws: int = 50  # N clearance samples per candidate
+    iterations: int = 10  # M
+    samples: int = 192  # n
+    risk_elites: int = 48  # n_c, constraint-elite count
+    elites: int = 16  # n_e
+    risk_draws: int = 30  # N clearance samples per candidate
     w_state: float = 1.0
-    w_risk: float = 1000.0
-    w_effort: float = 0.2
+    w_risk: float = 2e4
+    w_effort: float = 2.0
     smoothing: float = 0.7  # elite blend factor in (0, 1]
-    seed: int = 0
+    seed: int = 0  # mixed into each episode's random stream (bench.run_episode)
     horizon: int = 50
     dt: float = 0.1
     d_o: float = 0.3
@@ -84,6 +85,8 @@ class PlannerConfig:
 
     def __post_init__(self):
         _check_counts(self, "iterations", "samples", "risk_elites", "elites", "risk_draws", "horizon")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"PlannerConfig.seed must be an integer >= 0, got {self.seed!r}")
         if not self.samples >= self.risk_elites >= self.elites:
             raise ValueError("need samples >= risk_elites >= elites")
         if min(self.w_state, self.w_risk, self.w_effort) < 0:
@@ -147,7 +150,7 @@ def plan(
     predictor: Predictor,
     goal,
     cfg: PlannerConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     nu0: np.ndarray | None = None,
 ) -> PlanResult:
     """Run the full sampling loop and return the best-ever candidate.
@@ -157,8 +160,6 @@ def plan(
     predictions are skipped; if an entire batch is invalid the call raises
     PlanningError.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     goal = np.asarray(goal, dtype=float)
     nu, var = initial_distribution(cfg)
     if nu0 is not None:

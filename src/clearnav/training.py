@@ -44,7 +44,7 @@ class TrainingDiverged(RuntimeError):
 class TrainConfig:
     risk_samples: int = 50  # reparameterized draws per sample
     d_o: float = 0.3  # robot footprint radius (m)
-    learning_rate: float = 1e-3
+    learning_rate: float = 2e-3
     momentum: float = 0.9
     epochs: int = 60
     batch_size: int = 256

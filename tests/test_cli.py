@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 import clearnav.cli
-from clearnav.bench import model_from_checkpoint
+from clearnav.bench import model_from_checkpoint, suite_worlds
 from clearnav.cli import main
 from clearnav.data import ClearanceDataset
 from clearnav.dynamics import RobotState
 from clearnav.model import ModelParams, save_checkpoint
-from clearnav.world import Circle, NoiseModel, SensorConfig, World, save_scenario
+from clearnav.world import Circle, NoiseModel, SensorConfig, World, save_scenario, world_to_dict
 
 from test_bench import META, replay_doc
 from test_world import MALFORMED_SCENARIOS, scenario_doc
@@ -59,6 +59,21 @@ def test_train_on_a_refused_dataset_exits_with_the_loaders_message(tmp_path):
                                          "regenerate it with clearnav gen-data$"):
         main(["train", "--data", str(path), "--out", str(tmp_path / "model.npz"), "--epochs", "1"])
     assert not (tmp_path / "model.npz").exists()
+
+
+def test_gen_data_labels_no_world_of_the_benchmark_suite(tmp_path, monkeypatch):
+    labelled = []
+
+    def record(worlds, *args, **kwargs):
+        labelled.extend(worlds)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(clearnav.cli, "generate_dataset", record)
+    with pytest.raises(SystemExit):
+        main(["gen-data", "--out", str(tmp_path / "d.npz"), "--worlds", "12", "--snapshots-per-world", "1"])
+    # `clearnav bench` with the same seed runs the suite's first worlds
+    suite = {json.dumps(world_to_dict(w)) for w in suite_worlds(12, 0)}
+    assert len(labelled) == 12 and suite.isdisjoint(json.dumps(world_to_dict(w)) for w in labelled)
 
 
 @pytest.mark.parametrize("command", ["gen-data", "train"])
@@ -136,6 +151,9 @@ def test_bench_command(tmp_path, planner_file):
     ("train", "--seed", "-1", "an integer >= 0"),
     ("episode", "--seed", "-1", "an integer >= 0"),
     ("bench", "--seed", "-1", "an integer >= 0"),
+    # a choice (expected None): the library mode that only a sigma_penalty > 0, which no flag
+    # sets, tells from baseline
+    ("train", "--mode", "nll_sigma_penalty", None),
 ])
 def test_bad_count_or_radius_is_one_usage_error_naming_the_flag(tmp_path, capsys, planner_file,
                                                                 scenario_file, command, flag, value,
@@ -150,7 +168,11 @@ def test_bad_count_or_radius_is_one_usage_error_naming_the_flag(tmp_path, capsys
         main([command, *args, "--out", str(out), flag, value])
     assert exit_info.value.code == 2 and not out.exists()
     err = capsys.readouterr().err
-    assert err.endswith(f"clearnav {command}: error: argument {flag}: expected {expected}, got {value!r}\n")
+    prefix = f"clearnav {command}: error: argument {flag}: "
+    if expected is None:  # argparse lists the choices differently across Python versions
+        assert err.endswith("\n") and err.splitlines()[-1].startswith(f"{prefix}invalid choice: {value!r} (")
+    else:
+        assert err.endswith(f"{prefix}expected {expected}, got {value!r}\n")
     assert "Traceback" not in err
 
 

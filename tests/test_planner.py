@@ -3,6 +3,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -61,7 +62,8 @@ class TestPlan:
     def test_effort_only_objective(self, empty_world):
         # 100-dim command box: the sampling distribution needs a few dozen
         # rounds to contract onto the zero-effort corner
-        cfg = PlannerConfig(iterations=40, w_state=0.0, w_risk=0.0, w_effort=1.0, seed=0)
+        cfg = PlannerConfig(iterations=40, samples=512, risk_elites=128, elites=32, risk_draws=50,
+                            w_state=0.0, w_risk=0.0, w_effort=1.0, seed=0)
         pred = oracle_predictor(empty_world, cfg)
         res = plan(empty_world.start, pred, empty_world.goal, cfg, np.random.default_rng(1))
         assert res.effort == res.cost
@@ -115,10 +117,10 @@ class TestPlan:
         assert (v >= 0).all() and (v <= 1).all() and (np.abs(w) <= 1).all()
 
     def test_deterministic(self, circle_world):
-        cfg = fast_cfg(seed=9)
+        cfg = fast_cfg()
         pred = oracle_predictor(circle_world, cfg)
-        a = plan(circle_world.start, pred, circle_world.goal, cfg)
-        b = plan(circle_world.start, pred, circle_world.goal, cfg)
+        a = plan(circle_world.start, pred, circle_world.goal, cfg, np.random.default_rng(9))
+        b = plan(circle_world.start, pred, circle_world.goal, cfg, np.random.default_rng(9))
         assert np.array_equal(a.commands, b.commands)
         assert a.cost == b.cost and a.risk == b.risk
         assert [s.best_cost for s in a.iterations] == [s.best_cost for s in b.iterations]
@@ -183,6 +185,14 @@ class TestPlan:
             message = rf"^PlannerConfig\.risk_draws must be >= 1, got {risk_draws}$"
             with pytest.raises(ValueError, match=message):
                 fast_cfg(risk_draws=risk_draws)
+
+    @pytest.mark.parametrize("value", [-1, 1.5, 2.0, True, "3", None])
+    def test_seed_must_be_a_nonnegative_integer(self, value):
+        # the seed enters each episode's SeedSequence, which takes no other value
+        message = rf"^PlannerConfig\.seed must be an integer >= 0, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            fast_cfg(seed=value)
+        assert fast_cfg(seed=np.int64(3)).seed == 3
 
     @pytest.mark.parametrize("name, value", [("w_state", math.nan), ("w_risk", math.nan),
                                              ("w_effort", math.inf), ("dt", math.inf), ("d_o", math.inf),
