@@ -30,18 +30,16 @@ WORLD = World((OBSTACLE,), (-1.0, -4.0, 9.0, 4.0), RobotState(0.0, 0.0, 0.0), (6
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--checkpoint", required=True, help="augmented-model checkpoint (npz)")
-    ap.add_argument("--method", default="augmented", help="checked by clearnav episode")
-    ap.add_argument("--seed", default="7", help="checked by clearnav episode")
+    ap = argparse.ArgumentParser(
+        description=__doc__, epilog="Any other flag (--checkpoint, --seed, ...) goes to clearnav episode as it is.")
+    ap.add_argument("--method", default="augmented")
     ap.add_argument("--out", default="runs/demo")
-    args = ap.parse_args()
+    args, episode_args = ap.parse_known_args()
 
     os.makedirs(args.out, exist_ok=True)
     scenario = os.path.join(args.out, "single_obstacle.json")
-    save_scenario(scenario, WORLD, SensorConfig(noise=DESK_NOISE), seed=0)
-    cli.main(["episode", "--scenario", scenario, "--method", args.method, "--checkpoint", args.checkpoint,
-              "--seed", args.seed, "--out", args.out])
+    save_scenario(scenario, WORLD, SensorConfig(noise=DESK_NOISE), seed=7)
+    cli.main(["episode", "--scenario", scenario, "--method", args.method, "--out", args.out, *episode_args])
 
     try:
         import matplotlib

@@ -248,8 +248,7 @@ def run_episode(
     # episode verdict always uses the true robot footprint
     factory, cfg = make_predictor_factory(method, world, sensor, planner_cfg, ep, models)
     d_robot = planner_cfg.d_o
-    # SeedSequence pads its entropy with zero words, so planner seed 0 gives the stream of [seed, 7]
-    rng = np.random.default_rng([seed, 7, planner_cfg.seed])
+    rng = np.random.default_rng([seed, 7])
     sim = SimState(
         state=world.start,
         rng=rng,

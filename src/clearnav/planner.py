@@ -20,7 +20,6 @@ about 1 MB. Where mallopt is missing the import does nothing to malloc.
 from __future__ import annotations
 
 import ctypes
-import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
@@ -69,7 +68,7 @@ class PlannerConfig:
     w_risk: float = 2e4
     w_effort: float = 2.0
     smoothing: float = 0.7  # elite blend factor in (0, 1]
-    seed: int = 0  # mixed into each episode's random stream (bench.run_episode)
+    seed: int = 0  # not read: kept only because perfbench pins every field (ROADMAP item 7)
     horizon: int = 50
     dt: float = 0.1
     d_o: float = 0.3
@@ -85,8 +84,6 @@ class PlannerConfig:
 
     def __post_init__(self):
         _check_counts(self, "iterations", "samples", "risk_elites", "elites", "risk_draws", "horizon")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError(f"PlannerConfig.seed must be an integer >= 0, got {self.seed!r}")
         if not self.samples >= self.risk_elites >= self.elites:
             raise ValueError("need samples >= risk_elites >= elites")
         if min(self.w_state, self.w_risk, self.w_effort) < 0:

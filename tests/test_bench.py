@@ -231,22 +231,6 @@ class TestRunEpisode:
         assert np.array_equal(out.trace["true_clearance"],
                               [min(true_clearance(p, world), 5.0) for p in calls])
 
-    def test_planner_seed_is_mixed_into_the_episode_stream(self, monkeypatch):
-        # planner seed 0 keeps the stream of [seed, 7] (SeedSequence pads its entropy
-        # with zero words); another planner seed plans other commands
-        streams, sim_state = [], bench.SimState
-
-        def recording_sim_state(**kw):
-            streams.append(kw["rng"].bit_generator.state)
-            return sim_state(**kw)
-
-        world = make_clutter_world(np.random.default_rng(7))
-        monkeypatch.setattr(bench, "SimState", recording_sim_state)
-        run = {s: run_episode(world, "oracle", 9, quiet(), fast_planner(seed=s), EpisodeConfig(timeout_s=2.0))
-               for s in (0, 1)}
-        assert streams[0] == np.random.default_rng([9, 7]).bit_generator.state != streams[1]
-        assert not np.array_equal(run[0].commands, run[1].commands)
-
     def test_config_rejects_exec_horizon_below_one(self):
         # exec_horizon 0 executes no command per MPC step, so the episode never ends
         with pytest.raises(ValueError, match="exec_horizon"):

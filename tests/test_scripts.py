@@ -11,6 +11,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMO = os.path.join(ROOT, "scripts", "single_obstacle_demo.py")
 ABLATION = os.path.join(ROOT, "scripts", "run_ablation.py")
 WEIGHTS = os.path.join(ROOT, "perfbench", "weights", "augmented.npz")
+BASELINE_WEIGHTS = os.path.join(ROOT, "perfbench", "weights", "baseline_nll.npz")
 
 
 def run(script: str, *args: str) -> subprocess.CompletedProcess:
@@ -19,7 +20,8 @@ def run(script: str, *args: str) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize("args, code, last_line", [
     (["--method", "nonsense"], 2, "clearnav episode: error: argument --method: invalid choice: 'nonsense' ("),
-    (["--method", "baseline_nll"], 1, "method 'baseline_nll' needs a 'baseline_nll' checkpoint"),
+    (["--method", "baseline_nll"], 1,
+     "method 'baseline_nll' needs a 'baseline_nll' checkpoint: give it with --baseline-checkpoint"),
     (["--seed", "-1"], 2, "clearnav episode: error: argument --seed: expected an integer >= 0, got '-1'"),
 ], ids=["unknown-method", "no-baseline-checkpoint", "negative-seed"])
 def test_demo_refuses_a_bad_flag_in_one_line(tmp_path, args, code, last_line):
@@ -43,12 +45,17 @@ def test_ablation_refuses_zero_workers_in_one_line(tmp_path):
     assert not (tmp_path / "ablation").exists()
 
 
-def test_demo_writes_the_trace_and_the_replay(tmp_path):
-    proc = run(DEMO, "--checkpoint", WEIGHTS, "--out", str(tmp_path))
+@pytest.mark.parametrize("method, args", [
+    ("augmented", ["--checkpoint", WEIGHTS]),
+    ("baseline_nll", ["--method", "baseline_nll", "--baseline-checkpoint", BASELINE_WEIGHTS]),
+], ids=["augmented", "baseline_nll"])
+def test_demo_writes_the_trace_and_the_replay(tmp_path, method, args):
+    # every flag but --method and --out goes to `clearnav episode` as it is
+    proc = run(DEMO, "--out", str(tmp_path), *args)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("augmented: ")
-    with open(tmp_path / "augmented.csv") as f:
+    assert proc.stdout.startswith(f"{method}: ")
+    with open(tmp_path / f"{method}.csv") as f:
         assert f.readline() == "t,x,y,psi,v,omega,mu,sigma,lam,risk,true_clearance\n"
-    with open(tmp_path / "augmented_replay.json") as f:
+    with open(tmp_path / f"{method}_replay.json") as f:
         replay = json.load(f)
-    assert replay["method"] == "augmented" and replay["seed"] == 7
+    assert replay["method"] == method and replay["seed"] == 7
