@@ -11,8 +11,9 @@ equal bit for bit to the dense all-pairs evaluation. Given a
 `ClearanceIndex` of its start state and cloud, it answers through the index's
 cell grid, with the same result. A caller that queries one cloud from one
 start several times (the geometric planners, once per plan iteration) builds
-the index once; a caller that queries a cloud once (dataset labelling) does
-not, since the build costs about as much as one unindexed query.
+the index once, and each query then costs about 0.4 of an unindexed one; a
+caller that queries a cloud once (dataset labelling) does not, since the
+build and its one query take about twice as long as the unindexed query.
 """
 from __future__ import annotations
 
@@ -199,20 +200,22 @@ _SEGMENT = 9  # rollout poses per bounding segment
 _BLOCK_PAIRS = 2**18  # (pose, cloud point) pairs per row block
 _PRUNE_SLACK = 1e-9  # relative; far above the rounding of the pruning bound
 # Index cell side (m). Measured as build plus 10 queries on 96 captured
-# plan-geometric plan calls (192 rollouts x 51 poses, <= 120 points; 37.3 ms
-# unindexed): 0.05 and 0.0625 m fastest at 18.6 ms; 0.04, 0.075 and 0.1 m
-# within 4%; 0.03 m +13%, where the build costs more than it saves; 0.15 m
-# +21%, where each cell keeps more candidates.
+# plan-geometric plan calls (192 rollouts x 51 poses, <= 120 points; 32.5 ms
+# unindexed; 2-vCPU Xeon VM, BLAS on one thread): 0.04 and 0.05 m fastest at
+# 14.2-14.4 ms; 0.0625 m +3%; 0.03 and 0.075 m +5-8%, where the build, or the
+# share of poses refined, grows; 0.1 m +10-18%; 0.15 m +25-31%.
 _CELL = 0.05
 # The grid's reach from the start (m); poses past it are compared with every
-# point. Measured as above: 4 m fastest; 3 m +5% (more poses past the grid),
-# 5 m +8% and 6.4 m +11% (cells few rollouts visit), 2 m +55%.
+# point. Measured as above: 3, 4 and 5 m within the noise (3 m -0.1% and
+# +5.5% in two sweeps, 5 m -0.1% and +2.0%), 6.4 m +2% (cells few rollouts
+# visit), 2 m +9-11% (more poses past the grid).
 _GRID_REACH = 4.0
 # Each cell's bounds hold for the cell grown by this share of its side: the
 # cell that floor() assigns a pose to can miss it by a rounding error.
 _CELL_WIDEN = 1e-9
-# (place, candidate) pairs per block of an indexed query; blocks of 2**18
-# pairs, past the L2 cache, ran 30% slower
+# (pose, point) pairs per block of an indexed query and of its build. Measured
+# as above: blocks of 2**14 to 2**17 pairs within the noise, 2**13 +3%, and
+# 2**18 +11%
 _INDEX_BLOCK_PAIRS = 2**15
 
 
@@ -224,18 +227,18 @@ class ClearanceIndex:
     covers every place within d0 of the cloud, cut to _GRID_REACH around the
     start, in square cells of side _CELL. Each cell holds a lower bound on
     the squared distance from any place in it to the cloud, and its nearest
-    point. A cell whose bound is at most d0^2 also holds its candidates, the
-    points that can be nearest to a place in it. Two more cells take the
-    poses outside the grid: one for places farther than d0 from every point,
-    which never hold a row's minimum, and one for the rest (past a cut
-    grid), whose candidates are all points.
+    point. Two more cells take the poses outside the grid: one for places
+    farther than d0 from every point, which never hold a row's minimum, and
+    one for the rest (past a cut grid), whose bound is 0.
 
     Build one when a cloud and start state serve several queries, as in a
-    plan call, which queries once per iteration: the build costs about one
-    unindexed query, and each query then costs a third to a half of one.
-    For a single query, call worst_case_clearance without an index. The
-    index refuses queries from another start position or for another cloud,
-    because d0 is then no bound.
+    plan call, which queries once per iteration. On the plan calls measured
+    at _CELL, the build took about 1.3 ms and each query about 1.3 ms, where
+    an unindexed query took 3.3 ms. For a single query, call
+    worst_case_clearance without an index: on dataset labelling traffic
+    (50 rollouts, one cloud each) the build and query took 1.7 ms and the
+    unindexed query 0.84 ms. The index refuses queries from another start
+    position or for another cloud, because d0 is then no bound.
     """
 
     def __init__(self, initial: RobotState, cloud_world: np.ndarray):
@@ -266,44 +269,30 @@ class ClearanceIndex:
         nx, ny = self.shape
 
         def gaps(origin, n, p):
-            """(n, P) squared gaps along one axis between each widened cell and each point:
-            to the cell's nearest face, and to its farthest face."""
+            """(n, P) squared gaps along one axis between each widened cell and each point."""
             lo = (origin + np.arange(n) * _CELL - widen)[:, None]
             hi = (origin + np.arange(1, n + 1) * _CELL + widen)[:, None]
-            near = np.maximum(np.maximum(lo - p, p - hi), 0.0)
-            far = np.maximum(p - lo, hi - p)
-            return near * near, far * far
+            gap = np.maximum(np.maximum(lo - p, p - hi), 0.0)
+            return gap * gap
 
-        gx, fx = gaps(self.origin[0], nx, self.px)
-        gy, fy = gaps(self.origin[1], ny, self.py)
-        point_type = np.min_scalar_type(n_points - 1)  # candidates are stored as point numbers
-        bounds, nearests, counts, cands = [], [], [], []
+        gx = gaps(self.origin[0], nx, self.px)
+        gy = gaps(self.origin[1], ny, self.py)
+        bounds, nearests = [], []
         cols = max(1, _INDEX_BLOCK_PAIRS // (ny * n_points))
         for i in range(0, nx, cols):
             d2 = (gx[i : i + cols, None] + gy[None]).reshape(-1, n_points)  # (cells, P)
-            cell = np.arange(d2.shape[0])
             nearest = d2.argmin(axis=1)
-            bounds.append(d2[cell, nearest])
+            bounds.append(d2[np.arange(d2.shape[0]), nearest])
             nearests.append(nearest)
-            # every place in a cell lies within sqrt(upper) of the cell's nearest point
-            upper = fx[i + cell // ny, nearest] + fy[cell % ny, nearest]
-            keep = d2 <= (np.minimum(upper, self.d0_sq) * (1.0 + _PRUNE_SLACK))[:, None]
-            counts.append(np.count_nonzero(keep, axis=1))
-            cands.append((np.flatnonzero(keep) % n_points).astype(point_type))
         # past the grid: a cell for places farther than d0 from every point, and
-        # one for the rest, whose candidates are all points; any point serves
+        # one for the rest, whose poses are always refined; any point serves
         # either as a real pair, so as an upper bound
         self.far, self.beyond = nx * ny, nx * ny + 1
         bounds.append([np.inf, 0.0])
         nearests.append([0, 0])
-        counts.append([0, n_points])
-        cands.append(np.arange(n_points, dtype=point_type))
         self.bound = np.concatenate(bounds)
         nearest = np.concatenate(nearests)
         self.qx, self.qy = self.px[nearest], self.py[nearest]
-        self.count = np.concatenate(counts)
-        self.first = np.concatenate([[0], np.cumsum(self.count[:-1])])  # of each cell's candidates
-        self.cand = np.concatenate(cands)
 
     def check(self, initial: RobotState, cloud_world: np.ndarray) -> None:
         """Raise ValueError unless the query comes from the start position and is for
@@ -319,9 +308,10 @@ class ClearanceIndex:
 
         A row's bound is the least squared distance of its poses to their
         cells' nearest points, or d0^2: each is a real pair. Poses whose cell
-        bound exceeds the row's bound are dropped, and the rest are refined
-        against their cell's candidates. The pose behind the row's answer is
-        never dropped, so each row keeps at least one.
+        bound exceeds the row's bound are dropped, and the rest are compared
+        with every cloud point, in blocks of at most _INDEX_BLOCK_PAIRS pairs.
+        The pose behind the row's answer is never dropped, so each row keeps
+        at least one.
         """
         (x0, y0), (nx, ny) = self.origin, self.shape
         gx = np.floor((x - x0) / _CELL)
@@ -335,30 +325,21 @@ class ClearanceIndex:
         upper = np.minimum((dx * dx + dy * dy).min(axis=1), self.d0_sq)
         keep = self.bound[cell] <= (upper * (1.0 + _PRUNE_SLACK))[:, None]
         r, k = np.nonzero(keep)
+        kx, ky = x[r, k], y[r, k]
+        d2 = np.empty(r.shape[0])
+        # points run down axis 0, so every operation and the minimum run along poses
+        px, py = self.px[:, None], self.py[:, None]
+        cols = max(1, _INDEX_BLOCK_PAIRS // px.shape[0])
+        for lo in range(0, r.shape[0], cols):
+            # the per-pair arithmetic of the dense evaluation, dx*dx + dy*dy, in place
+            dx = kx[lo : lo + cols] - px
+            dy = ky[lo : lo + cols] - py
+            dx *= dx
+            dy *= dy
+            dx += dy
+            d2[lo : lo + cols] = dx.min(axis=0)
         out = np.full(x.shape[0], np.inf)
-        np.minimum.at(out, r, self._nearest_sq(x[r, k], y[r, k], cell[r, k]))
-        return out
-
-    def _nearest_sq(self, x: np.ndarray, y: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        """Least squared distance from each place (x, y) to its cell's candidates,
-        in blocks of at most _INDEX_BLOCK_PAIRS pairs; every cell given has a candidate."""
-        out = np.empty(x.shape[0])
-        if not x.shape[0]:
-            return out
-        first = self.first[cells]
-        last = first + self.count[cells] - 1
-        width = int((last - first).max()) + 1
-        # slots run down axis 0, so every operation and the minimum run along places;
-        # a cell with fewer candidates repeats its last one, which leaves the minimum alone
-        slots = np.arange(width)[:, None]
-        cols = max(1, _INDEX_BLOCK_PAIRS // width)
-        for lo in range(0, x.shape[0], cols):
-            hi = lo + cols
-            p = self.cand[np.minimum(first[lo:hi] + slots, last[lo:hi])]
-            # the per-pair arithmetic of the dense evaluation
-            dx = x[lo:hi] - self.px[p]
-            dy = y[lo:hi] - self.py[p]
-            out[lo:hi] = (dx * dx + dy * dy).min(axis=0)
+        np.minimum.at(out, r, d2)
         return out
 
 

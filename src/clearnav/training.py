@@ -268,7 +268,7 @@ class TrainResult:
     meta: dict
 
 
-def build_inputs(dataset: ClearanceDataset, n_sectors: int = 32):
+def build_inputs(dataset: ClearanceDataset, n_sectors: int = 32) -> np.ndarray:
     """Assemble the flat model-input matrix: per-sample [observation | commands]."""
     featurizer = PolarFeaturizer(dataset.fov, dataset.max_range, n_sectors)
     obs = np.empty((dataset.n_snapshots, n_sectors + 2))
@@ -278,8 +278,7 @@ def build_inputs(dataset: ClearanceDataset, n_sectors: int = 32):
         obs[s] = featurizer.featurize(clouds[s], RobotState(x, y, psi, v, w))
     n = len(dataset)
     u_flat = dataset.controls.reshape(n, -1)
-    x_all = np.concatenate([obs[dataset.snapshot], u_flat], axis=1)
-    return x_all, obs, featurizer
+    return np.concatenate([obs[dataset.snapshot], u_flat], axis=1)
 
 
 def _holdout_split(dataset: ClearanceDataset, cfg: TrainConfig):
@@ -330,7 +329,7 @@ def train(dataset: ClearanceDataset, cfg: TrainConfig, mode: str) -> TrainResult
         raise ValueError("dataset is empty")
     if cfg.d_o != dataset.d_o:  # the labels say safe at the dataset's radius, the risk at cfg's
         raise ValueError(f"TrainConfig.d_o {cfg.d_o} differs from the dataset's d_o {dataset.d_o}")
-    x_all, _, featurizer = build_inputs(dataset, cfg.n_sectors)
+    x_all = build_inputs(dataset, cfg.n_sectors)
     train_idx, hold_idx = _holdout_split(dataset, cfg)
     d_gt = dataset.clearance
     safe = dataset.safe

@@ -137,8 +137,7 @@ class NoiseModel:
             raise ValueError("additive_sigma must be >= 0")
         if not 0.0 <= self.dropout_prob <= 1.0:
             raise ValueError("dropout_prob must be in [0, 1]")
-        if self.drift_timescale < 1:
-            raise ValueError("drift_timescale must be >= 1")
+        _check_counts(self, "drift_timescale")
 
 
 @dataclass(frozen=True)
@@ -167,6 +166,7 @@ class World:
         xmin, ymin, xmax, ymax = self.bounds
         if not (all(map(math.isfinite, self.bounds)) and xmin < xmax and ymin < ymax):
             raise ValueError("bounds must form a finite nonempty rectangle")
+        _check_finite(self.start)
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         object.__setattr__(self, "bounds", tuple(self.bounds))
         object.__setattr__(self, "goal", (float(self.goal[0]), float(self.goal[1])))

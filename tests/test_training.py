@@ -430,14 +430,14 @@ class TestTrain:
             learning_rate=1e-3, grad_clip=0.5, seed=0,
         )
         res = train(ds, cfg, "baseline")
-        x_all, _, _ = build_inputs(ds, cfg.n_sectors)
+        x_all = build_inputs(ds, cfg.n_sectors)
         mu, _, _ = forward_batch(res.params, x_all)
         assert mu[0] == pytest.approx(ds.clearance[0], abs=1e-2)
 
     def test_finite_difference_small(self, rng):
         ds = small_dataset()
         cfg = TrainConfig(risk_samples=30, seed=0)
-        x_all, _, _ = build_inputs(ds, cfg.n_sectors)
+        x_all = build_inputs(ds, cfg.n_sectors)
         params = ModelParams.init(rng, 34, ds.horizon, 32)
         phi = RiskHeadParams.init(rng, 16)
         idx = np.arange(6)
@@ -452,7 +452,7 @@ class TestTrain:
     def test_baseline_risk_gradients_exactly_zero(self, rng):
         ds = small_dataset()
         cfg = TrainConfig(seed=0)
-        x_all, _, _ = build_inputs(ds, cfg.n_sectors)
+        x_all = build_inputs(ds, cfg.n_sectors)
         params = ModelParams.init(rng, 34, ds.horizon, 32)
         phi = RiskHeadParams.init(rng, 16)
         idx = np.arange(8)
@@ -466,7 +466,7 @@ class TestTrain:
     def test_loss_finite_at_init(self, rng):
         ds = small_dataset()
         cfg = TrainConfig(seed=0)
-        x_all, _, _ = build_inputs(ds, cfg.n_sectors)
+        x_all = build_inputs(ds, cfg.n_sectors)
         params = ModelParams.init(np.random.default_rng([0, 29]), 34, ds.horizon, cfg.hidden)
         phi = RiskHeadParams.init(np.random.default_rng(1), cfg.risk_hidden)
         noise = BatchNoise.draw(np.random.default_rng(5), len(ds), cfg)

@@ -317,7 +317,8 @@ class TestValidationAndIO:
         assert SensorConfig(n_rays=np.int64(60)).n_rays == 60
 
     @pytest.mark.parametrize("cls, name", [
-        (PlannerConfig, "iterations"), (SensorConfig, "n_rays"), (EpisodeConfig, "exec_horizon"),
+        (PlannerConfig, "iterations"), (SensorConfig, "n_rays"), (NoiseModel, "drift_timescale"),
+        (EpisodeConfig, "exec_horizon"),
         *((TrainConfig, name) for name in ("epochs", "batch_size", "risk_samples", "hidden",
                                            "risk_hidden", "n_sectors")),
     ])
@@ -448,6 +449,12 @@ MALFORMED_SCENARIOS = [
                  "world: obstacles must be a list of objects", id="obstacles-not-list"),
     pytest.param({"sensor.n_rays": 2.5}, r"SensorConfig\.n_rays must be an integer, got 2\.5",
                  id="sensor-float-count"),
+    pytest.param({"sensor.noise.drift_timescale": 2.5},
+                 r"NoiseModel\.drift_timescale must be an integer, got 2\.5", id="noise-float-count"),
+    pytest.param({"sensor.noise.drift_timescale": True},
+                 r"NoiseModel\.drift_timescale must be an integer, got True", id="noise-bool-count"),
+    pytest.param({"world.start.psi": math.nan}, r"RobotState\.psi must be finite", id="start-nan"),
+    pytest.param({"world.start.v": math.inf}, r"RobotState\.v must be finite", id="start-inf"),
 ]
 
 
