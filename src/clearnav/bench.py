@@ -394,6 +394,12 @@ def suite_worlds(n: int, seed: int, suite: SuiteConfig | None = None) -> list[Wo
     return [make_clutter_world(np.random.default_rng([seed, 101, i]), suite) for i in range(n)]
 
 
+def training_worlds(n: int, seed: int) -> list[World]:
+    """The worlds `clearnav gen-data` labels: a stream suite_worlds never draws, so
+    no seed labels a world that `clearnav bench` runs."""
+    return [make_clutter_world(np.random.default_rng([seed, 103, i])) for i in range(n)]
+
+
 # ---------------------------------------------------------------------------
 # Benchmark
 

@@ -17,11 +17,11 @@ from .bench import (
     MissingCheckpointError,
     _check_methods,
     emit_traces,
-    make_clutter_world,
     model_from_checkpoint,
     replay_trajectory,
     run_benchmark,
     run_episode,
+    training_worlds,
 )
 from .data import ClearanceDataset, generate_dataset
 from .model import save_checkpoint
@@ -87,12 +87,9 @@ def _planner_from_json(path) -> PlannerConfig:
 def cmd_gen_data(args) -> int:
     _or_exit(args.out, _check_out, args.out)
     rng = np.random.default_rng(args.seed)
-    # a stream the benchmark suite (bench.suite_worlds draws [seed, 101, i]) never draws,
-    # so no seed labels a world that `clearnav bench` runs
-    worlds = [make_clutter_world(np.random.default_rng([args.seed, 103, i])) for i in range(args.worlds)]
     sensor = _default_sensor()
     dataset = generate_dataset(
-        worlds,
+        training_worlds(args.worlds, args.seed),
         args.snapshots_per_world,
         rng,
         sensor,

@@ -7,13 +7,13 @@ metric. Gradients are hand-derived in `training`, so the forward pass here
 keeps every nonlinearity smooth.
 
 `worst_case_clearance` is the exact clearance of rollouts against a cloud,
-equal bit for bit to the dense all-pairs evaluation. Given a
-`ClearanceIndex` of its start state and cloud, it answers through the index's
-cell grid, with the same result. A caller that queries one cloud from one
-start several times (the geometric planners, once per plan iteration) builds
-the index once, and each query then costs about 0.4 of an unindexed one; a
-caller that queries a cloud once (dataset labelling) does not, since the
-build and its one query take about twice as long as the unindexed query.
+equal bit for bit to the dense all-pairs evaluation. It answers through the
+cell grid of a `ClearanceIndex` of its start state and cloud, whose cells are
+filled the first time a query lands in them. A caller that queries one cloud
+from one start several times (the geometric planners, once per plan
+iteration) builds the index once and passes it to every query; a caller that
+queries a cloud once (dataset labelling) passes none, and the call builds
+its own.
 """
 from __future__ import annotations
 
@@ -196,49 +196,47 @@ def predict_batch(
     return forward_batch(params, x)
 
 
-_SEGMENT = 9  # rollout poses per bounding segment
-_BLOCK_PAIRS = 2**18  # (pose, cloud point) pairs per row block
 _PRUNE_SLACK = 1e-9  # relative; far above the rounding of the pruning bound
-# Index cell side (m). Measured as build plus 10 queries on 96 captured
-# plan-geometric plan calls (192 rollouts x 51 poses, <= 120 points; 32.5 ms
-# unindexed; 2-vCPU Xeon VM, BLAS on one thread): 0.04 and 0.05 m fastest at
-# 14.2-14.4 ms; 0.0625 m +3%; 0.03 and 0.075 m +5-8%, where the build, or the
-# share of poses refined, grows; 0.1 m +10-18%; 0.15 m +25-31%.
+# Index cell side (m). Measured on 120 captured label queries (50 rollouts x
+# 51 poses, one query per cloud) and 48 captured plan-geometric plan calls
+# (build plus 10 queries of 192 rollouts x 51 poses, <= 120 points), as CPU
+# time against 0.05 m within each of 21-31 interleaved reps (2-vCPU Xeon VM,
+# BLAS on one thread): 0.0625 m labels -10%, plans +2%; 0.075 m labels -20%,
+# plans +7%; 0.1 m labels -10%, plans +9%; 0.04 m labels +14%, plans -3%;
+# 0.03 m labels +42%, plans -7%. No other size is faster on both.
 _CELL = 0.05
 # The grid's reach from the start (m); poses past it are compared with every
-# point. Measured as above: 3, 4 and 5 m within the noise (3 m -0.1% and
-# +5.5% in two sweeps, 5 m -0.1% and +2.0%), 6.4 m +2% (cells few rollouts
-# visit), 2 m +9-11% (more poses past the grid).
+# point. It also bounds the grid when d0 is large, as for a cloud 1e3 m away.
+# Measured as above: 3 and 5 m within 5% on both, 6.4 m labels +7%, 2 m plans
+# +11%.
 _GRID_REACH = 4.0
 # Each cell's bounds hold for the cell grown by this share of its side: the
 # cell that floor() assigns a pose to can miss it by a rounding error.
 _CELL_WIDEN = 1e-9
-# (pose, point) pairs per block of an indexed query and of its build. Measured
-# as above: blocks of 2**14 to 2**17 pairs within the noise, 2**13 +3%, and
-# 2**18 +11%
+# (cell or pose, point) pairs per block of a query's cell fill and of its
+# refine. Measured as above: 2**14 -4% to -5% on both (faster in 14-15 of 21
+# reps), 2**13, 2**16 and 2**17 within 2%, 2**18 plans +13%.
 _INDEX_BLOCK_PAIRS = 2**15
 
 
 class ClearanceIndex:
-    """Cell grid over one cloud, for repeated worst_case_clearance queries from one start.
+    """Cell grid over one cloud, for worst_case_clearance queries from one start.
 
     Every rollout begins at the start, so d0, the start's distance to its
     nearest cloud point, bounds every query's answer from above. The grid
     covers every place within d0 of the cloud, cut to _GRID_REACH around the
-    start, in square cells of side _CELL. Each cell holds a lower bound on
-    the squared distance from any place in it to the cloud, and its nearest
-    point. Two more cells take the poses outside the grid: one for places
-    farther than d0 from every point, which never hold a row's minimum, and
-    one for the rest (past a cut grid), whose bound is 0.
+    start, in square cells of side _CELL. A cell holds a lower bound on the
+    squared distance from any place in it to the cloud, and the coordinates
+    of its nearest point. Cells are filled the first time a query's pose
+    lands in them, so a query pays only for the cells its rollouts visit and
+    a later query reuses them. Two more cells take the poses outside the
+    grid: one for places farther than d0 from every point, which never hold
+    a row's minimum, and one for the rest (past a cut grid), whose bound is 0.
 
-    Build one when a cloud and start state serve several queries, as in a
-    plan call, which queries once per iteration. On the plan calls measured
-    at _CELL, the build took about 1.3 ms and each query about 1.3 ms, where
-    an unindexed query took 3.3 ms. For a single query, call
-    worst_case_clearance without an index: on dataset labelling traffic
-    (50 rollouts, one cloud each) the build and query took 1.7 ms and the
-    unindexed query 0.84 ms. The index refuses queries from another start
-    position or for another cloud, because d0 is then no bound.
+    One index serves every query from one start against one cloud: a plan
+    call builds one and queries it once per iteration. It refuses queries
+    from another start position or for another cloud, because d0 is then no
+    bound.
     """
 
     def __init__(self, initial: RobotState, cloud_world: np.ndarray):
@@ -251,8 +249,7 @@ class ClearanceIndex:
         cloud.flags.writeable = False
         self.initial = initial
         self.cloud = cloud
-        n_points = cloud.shape[0]
-        if n_points == 0:
+        if cloud.shape[0] == 0:
             return
         self.px, self.py = cloud.T.copy()
         diff = start - cloud
@@ -275,24 +272,19 @@ class ClearanceIndex:
             gap = np.maximum(np.maximum(lo - p, p - hi), 0.0)
             return gap * gap
 
-        gx = gaps(self.origin[0], nx, self.px)
-        gy = gaps(self.origin[1], ny, self.py)
-        bounds, nearests = [], []
-        cols = max(1, _INDEX_BLOCK_PAIRS // (ny * n_points))
-        for i in range(0, nx, cols):
-            d2 = (gx[i : i + cols, None] + gy[None]).reshape(-1, n_points)  # (cells, P)
-            nearest = d2.argmin(axis=1)
-            bounds.append(d2[np.arange(d2.shape[0]), nearest])
-            nearests.append(nearest)
+        self.gx = gaps(self.origin[0], nx, self.px)
+        self.gy = gaps(self.origin[1], ny, self.py)
         # past the grid: a cell for places farther than d0 from every point, and
         # one for the rest, whose poses are always refined; any point serves
         # either as a real pair, so as an upper bound
         self.far, self.beyond = nx * ny, nx * ny + 1
-        bounds.append([np.inf, 0.0])
-        nearests.append([0, 0])
-        self.bound = np.concatenate(bounds)
-        nearest = np.concatenate(nearests)
-        self.qx, self.qy = self.px[nearest], self.py[nearest]
+        self.bound = np.empty(nx * ny + 2)
+        self.qx = np.empty(nx * ny + 2)
+        self.qy = np.empty(nx * ny + 2)
+        self.filled = np.zeros(nx * ny + 2, dtype=bool)
+        self.bound[-2:] = np.inf, 0.0
+        self.qx[-2:], self.qy[-2:] = self.px[0], self.py[0]
+        self.filled[-2:] = True
 
     def check(self, initial: RobotState, cloud_world: np.ndarray) -> None:
         """Raise ValueError unless the query comes from the start position and is for
@@ -303,15 +295,32 @@ class ClearanceIndex:
         if cloud_world.shape != self.cloud.shape or not np.array_equal(cloud_world, self.cloud):
             raise ValueError("cloud_world is not the cloud the index was built from")
 
+    def _fill(self, cell: np.ndarray) -> None:
+        """Fill the cells among `cell` that no earlier query filled: each one's least
+        squared distance to the cloud, and its nearest point, in blocks of at most
+        _INDEX_BLOCK_PAIRS (cell, point) pairs."""
+        visit = np.zeros_like(self.filled)
+        visit[cell[~self.filled[cell]]] = True
+        new = np.flatnonzero(visit)
+        ny = self.shape[1]
+        rows = max(1, _INDEX_BLOCK_PAIRS // self.px.shape[0])
+        for lo in range(0, new.shape[0], rows):
+            block = new[lo : lo + rows]
+            d2 = self.gx[block // ny] + self.gy[block % ny]  # (cells, P)
+            nearest = d2.argmin(axis=1)
+            self.bound[block] = d2[np.arange(block.shape[0]), nearest]
+            self.qx[block], self.qy[block] = self.px[nearest], self.py[nearest]
+        self.filled[new] = True
+
     def min_sq(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Least squared distance from each row's poses, x and y each (n, K), to the cloud.
 
-        A row's bound is the least squared distance of its poses to their
-        cells' nearest points, or d0^2: each is a real pair. Poses whose cell
-        bound exceeds the row's bound are dropped, and the rest are compared
-        with every cloud point, in blocks of at most _INDEX_BLOCK_PAIRS pairs.
-        The pose behind the row's answer is never dropped, so each row keeps
-        at least one.
+        The cells the poses land in are filled first. A row's bound is the
+        least squared distance of its poses to their cells' nearest points, or
+        d0^2: each is a real pair. Poses whose cell bound exceeds the row's
+        bound are dropped, and the rest are compared with every cloud point,
+        in blocks of at most _INDEX_BLOCK_PAIRS pairs. The pose behind the
+        row's answer is never dropped, so each row keeps at least one.
         """
         (x0, y0), (nx, ny) = self.origin, self.shape
         gx = np.floor((x - x0) / _CELL)
@@ -320,6 +329,7 @@ class ClearanceIndex:
         (lo_x, lo_y), (hi_x, hi_y) = self.near_lo, self.near_hi
         near = (x >= lo_x) & (x <= hi_x) & (y >= lo_y) & (y <= hi_y)
         cell = np.where(inside, gx * ny + gy, np.where(near, self.beyond, self.far)).astype(np.intp)
+        self._fill(cell)
         dx = x - self.qx[cell]
         dy = y - self.qy[cell]
         upper = np.minimum((dx * dx + dy * dy).min(axis=1), self.d0_sq)
@@ -355,31 +365,14 @@ def worst_case_clearance(
 
     commands: (n, H, 2); cloud_world: (P, 2) in the world frame. This is the
     single labeling function shared by dataset generation and oracle queries.
-    Non-finite commands, cloud points or rollout poses raise ValueError.
+    Non-finite commands, cloud points, start or rollout poses raise ValueError.
 
-    With an `index` (a ClearanceIndex of this initial state and cloud), the
-    rollouts are queried through its grid; an index of another state or cloud
-    raises ValueError. Without one, an exact bound-and-refine runs over row
-    blocks of at most _BLOCK_PAIRS (pose, point) pairs, so memory does not
-    grow with n:
-
-    1. Bound. Each rollout's H+1 poses are cut into segments of _SEGMENT
-       poses (the last pose repeats as padding). A segment has a middle pose
-       m and a radius r = max |m - pose| over its poses. U, the least
-       |m - p| over the rollout's middles and the cloud points p, is the
-       distance of a real pair, so it bounds the answer from above.
-    2. Prune. By the triangle inequality every pose of a segment is at least
-       |m - p| - r from p, so a (segment, point) pair with
-       |m - p| > (r + U)(1 + _PRUNE_SLACK) cannot hold the minimum and is
-       dropped. The relative slack covers rounding at any coordinate scale.
-    3. Refine. For the surviving pairs the squared distance of every pose is
-       computed with the per-pair arithmetic of a dense evaluation of all
-       (n, H+1, P) pairs: the difference, then an einsum over the coordinate
-       axis. The per-rollout minimum is taken before the square root.
-
-    The pair attaining the dense minimum always survives either path and its
-    squared distance is computed identically, so the result equals the dense
-    evaluation bit for bit.
+    The rollouts are queried through `index`, a ClearanceIndex of this initial
+    state and cloud (an index of another state or cloud raises ValueError);
+    without one, an index is built for this call. The pose and point behind
+    the dense all-pairs minimum always survive the pruning, and their squared
+    distance is computed with the dense evaluation's per-pair arithmetic, so
+    the result equals the dense evaluation bit for bit.
     """
     # resolved at call time: a module-level binding here would bypass anything
     # that replaces clearnav.dynamics.rollout_batch (perfbench's span tracer)
@@ -391,50 +384,17 @@ def worst_case_clearance(
     if not np.isfinite(commands).all():
         raise ValueError("commands contain non-finite values")
     cloud_world = np.asarray(cloud_world, dtype=float).reshape(-1, 2)
-    if index is not None:
+    if index is None:
+        index = ClearanceIndex(initial, cloud_world)
+    else:
         index.check(initial, cloud_world)
-    elif not np.isfinite(cloud_world).all():
-        raise ValueError("cloud_world contains non-finite points")
-    n = commands.shape[0]
-    n_points = cloud_world.shape[0]
-    if n_points == 0:
-        return np.full(n, cap)
+    if cloud_world.shape[0] == 0:
+        return np.full(commands.shape[0], cap)
     xy = rollout_batch(initial, commands, dt)[:, :, :2]
     if not np.isfinite(xy).all():
         raise ValueError("rollout poses are non-finite; check the initial state")
-    if index is not None:
-        x, y = np.ascontiguousarray(xy[:, :, 0]), np.ascontiguousarray(xy[:, :, 1])
-        return np.sqrt(index.min_sq(x, y))
-
-    px, py = cloud_world.T
-    n_seg = -(-xy.shape[1] // _SEGMENT)
-    pad = n_seg * _SEGMENT - xy.shape[1]
-    rows = max(1, _BLOCK_PAIRS // (n_seg * _SEGMENT * n_points))
-    out = np.empty(n)
-    for lo in range(0, n, rows):
-        block = xy[lo : lo + rows]
-        nb = block.shape[0]
-        if pad:
-            block = np.concatenate([block, np.repeat(block[:, -1:], pad, axis=1)], axis=1)
-        seg = block.reshape(nb * n_seg, _SEGMENT, 2)
-        mid = seg[:, _SEGMENT // 2]
-        radius = np.sqrt(((seg - mid[:, None]) ** 2).sum(axis=2).max(axis=1))
-        dx = mid[:, :1] - px
-        dy = mid[:, 1:] - py
-        d2_mid = dx * dx + dy * dy  # (nb * n_seg, P)
-        upper = np.sqrt(d2_mid.reshape(nb, -1).min(axis=1))
-        reach = (radius.reshape(nb, n_seg) + upper[:, None]) * (1.0 + _PRUNE_SLACK)
-        keep = d2_mid <= (reach * reach).reshape(-1, 1)
-        s, p = np.divmod(np.flatnonzero(keep), n_points)
-        diff = seg[s]
-        diff[:, :, 0] -= px[p, None]
-        diff[:, :, 1] -= py[p, None]
-        d2 = np.einsum("kjc,kjc->kj", diff, diff)
-        # survivors come in row order, and every row keeps the pair behind U
-        kept = keep.reshape(nb, -1).sum(axis=1)
-        starts = np.concatenate([[0], np.cumsum(kept[:-1])]) * _SEGMENT
-        out[lo : lo + nb] = np.minimum.reduceat(d2.ravel(), starts)
-    return np.sqrt(out)
+    x, y = np.ascontiguousarray(xy[:, :, 0]), np.ascontiguousarray(xy[:, :, 1])
+    return np.sqrt(index.min_sq(x, y))
 
 
 # ---------------------------------------------------------------------------

@@ -163,10 +163,14 @@ class World:
     goal: tuple[float, float]
 
     def __post_init__(self):
+        if np.shape(self.bounds) != (4,):
+            raise ValueError(f"World.bounds must be four numbers, got {self.bounds!r}")
         xmin, ymin, xmax, ymax = self.bounds
         if not (all(map(math.isfinite, self.bounds)) and xmin < xmax and ymin < ymax):
             raise ValueError("bounds must form a finite nonempty rectangle")
         _check_finite(self.start)
+        if np.shape(self.goal) != (2,) or not all(map(math.isfinite, self.goal)):
+            raise ValueError(f"World.goal must be two finite numbers, got {self.goal!r}")
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         object.__setattr__(self, "bounds", tuple(self.bounds))
         object.__setattr__(self, "goal", (float(self.goal[0]), float(self.goal[1])))

@@ -232,7 +232,8 @@ def clearance_cases(draw):
 
 
 class TestWorstCaseClearanceExact:
-    """Bound-and-refine against the dense all-pairs evaluation, bit for bit."""
+    """worst_case_clearance without an index (the call builds its own) against the
+    dense all-pairs evaluation, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(clearance_cases())
@@ -248,7 +249,7 @@ class TestWorstCaseClearanceExact:
             (4, 50, np.array([[1.0, 0.5]])),  # single point
             (4, 50, np.repeat([[1.0, 0.5], [-0.5, 2.0]], 5, axis=0)),  # duplicated points
             (4, 50, np.array([[900.0, -700.0], [1e3, 1e3]])),  # far beyond every rollout
-            (2, 12, np.array([[0.3, 0.2], [2.0, -1.0]])),  # H+1 not a multiple of the segment
+            (2, 12, np.array([[0.3, 0.2], [2.0, -1.0]])),  # a short horizon
             (1, 50, np.array([[0.3, 0.2], [2.0, -1.0]])),  # n = 1
             (3, 1, np.array([[0.3, 0.2], [2.0, -1.0]])),  # H = 1
         ],
@@ -288,11 +289,16 @@ class TestWorstCaseClearanceExact:
         for key in ("mu", "sigma", "lam", "risk", "x", "y"):
             assert np.array_equal(fast.trace[key], ref.trace[key]), key
 
-    @pytest.mark.parametrize("kind", ["random", "ring"])
-    def test_memory_bounded(self, kind):
+    @pytest.mark.parametrize("kind, pass_index", [
+        pytest.param("random", False, id="random"),
+        pytest.param("ring", False, id="ring"),
+        pytest.param("random", True, id="random-index-passed"),
+        pytest.param("ring", True, id="ring-index-passed"),
+    ])
+    def test_memory_bounded(self, kind, pass_index):
         # the dense evaluation of this call would hold ~500 MB of temporaries;
-        # "ring" puts the cloud equidistant from stationary rollouts, so no pair
-        # is pruned and every block refines all of its pairs
+        # "ring" puts the cloud equidistant from stationary rollouts, so every
+        # pose of every row is kept and compared with every point
         rng = np.random.default_rng(0)
         n, horizon, n_points = 2048, 50, 300
         state = RobotState(0.0, 0.0, 0.0)
@@ -307,36 +313,12 @@ class TestWorstCaseClearanceExact:
             cloud = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         tracemalloc.start()
         try:
-            out = worst_case_clearance(state, commands, cloud, 0.1, 5.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert out.shape == (n,) and np.isfinite(out).all()
-        assert peak < 32 * 2**20
-
-    @pytest.mark.parametrize("kind", ["random", "ring"])
-    def test_index_memory_bounded(self, kind):
-        # as above, through an index: "ring" keeps every pose of every row, and
-        # each is refined against every point, since all are equidistant from it
-        rng = np.random.default_rng(0)
-        n, horizon, n_points = 2048, 50, 300
-        state = RobotState(0.0, 0.0, 0.0)
-        if kind == "random":
-            commands = np.stack(
-                [rng.uniform(0, 1, (n, horizon)), rng.uniform(-1, 1, (n, horizon))], axis=2
-            )
-            cloud = rng.uniform(-4, 4, (n_points, 2))
-        else:
-            commands = np.zeros((n, horizon, 2))
-            ang = np.linspace(-math.pi, math.pi, n_points, endpoint=False)
-            cloud = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        tracemalloc.start()
-        try:
-            index = ClearanceIndex(state, cloud)
+            index = ClearanceIndex(state, cloud) if pass_index else None
             out = worst_case_clearance(state, commands, cloud, 0.1, 5.0, index)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert out.shape == (n,) and np.isfinite(out).all()
         assert np.array_equal(out[:8], dense_worst_case_clearance(state, commands[:8], cloud, 0.1, 5.0))
         assert peak < 32 * 2**20
 
@@ -380,6 +362,18 @@ class TestClearanceIndex:
         state, commands, cloud = case
         assert np.array_equal(indexed(state, commands, cloud),
                               dense_worst_case_clearance(state, commands, cloud, 0.1, 5.0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(clearance_cases(), st.integers(1, 6), st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def test_shared_index_equals_dense_reference(self, case, n, horizon, seed):
+        # the second query of each order lands partly in cells the first one filled
+        state, first, cloud = case
+        second = random_commands(np.random.default_rng(seed), n, horizon)
+        for batches in ((first, second), (second, first)):
+            index = ClearanceIndex(state, cloud)
+            for commands in batches:
+                assert np.array_equal(worst_case_clearance(state, commands, cloud, 0.1, 5.0, index),
+                                      dense_worst_case_clearance(state, commands, cloud, 0.1, 5.0))
 
     def test_empty_cloud_returns_cap(self, rng):
         state = RobotState(0.3, -0.2, 0.1)

@@ -424,7 +424,7 @@ def scenario_doc(**changes) -> dict:
     return doc
 
 
-# each section of a scenario: an unknown key, a missing key it requires, and a bad seed
+# each section of a scenario: an unknown key, a missing key it requires, and bad values
 MALFORMED_SCENARIOS = [
     pytest.param({"sensor.n_ray": 10}, "sensor: unknown key 'n_ray'", id="sensor-unknown"),
     pytest.param({"sensor.noise.sigma": 0.1}, "noise: unknown key 'sigma'", id="noise-unknown"),
@@ -455,6 +455,14 @@ MALFORMED_SCENARIOS = [
                  r"NoiseModel\.drift_timescale must be an integer, got True", id="noise-bool-count"),
     pytest.param({"world.start.psi": math.nan}, r"RobotState\.psi must be finite", id="start-nan"),
     pytest.param({"world.start.v": math.inf}, r"RobotState\.v must be finite", id="start-inf"),
+    pytest.param({"world.goal": [5.0]}, r"World\.goal must be two finite numbers, got \[5\.0\]",
+                 id="goal-short"),
+    pytest.param({"world.goal": [9.0, 7.0, 1.0]},
+                 r"World\.goal must be two finite numbers, got \[9\.0, 7\.0, 1\.0\]", id="goal-long"),
+    pytest.param({"world.goal": [9.0, math.nan]},
+                 r"World\.goal must be two finite numbers, got \[9\.0, nan\]", id="goal-nan"),
+    pytest.param({"world.bounds": [0, 0, 10]}, r"World\.bounds must be four numbers, got \[0, 0, 10\]",
+                 id="bounds-short"),
 ]
 
 
