@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import itertools
 import json
 import math
 import multiprocessing
@@ -46,6 +47,7 @@ from .world import (
     SensorConfig,
     World,
     _check_counts,
+    _check_finite,
     _check_keys,
     body_to_world,
     raycast_scan,
@@ -316,23 +318,66 @@ class SuiteConfig:
     start_x: float = 1.2
     goal_x_offset: float = 1.2
 
+    def __post_init__(self):
+        ranges = ("n_obstacles", "box_size", "circle_radius")
+        for name in ranges:
+            pair = getattr(self, name)
+            if not (isinstance(pair, tuple) and len(pair) == 2):
+                raise ValueError(f"SuiteConfig.{name} must be a (low, high) pair, got {pair!r}")
+        _check_finite(self)
+        _check_counts(self, "n_obstacles", least=0)
+        for name in ranges:
+            low, high = getattr(self, name)
+            if not low <= high:
+                raise ValueError(f"SuiteConfig.{name} must have low <= high, got {(low, high)!r}")
+        for name in ("box_size", "circle_radius"):
+            if not getattr(self, name)[0] > 0:  # the low end, so both
+                raise ValueError(f"SuiteConfig.{name} must be > 0, got {getattr(self, name)!r}")
+        for name in ("grid_cell", "d_o"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"SuiteConfig.{name} must be > 0, got {getattr(self, name)!r}")
+        if not self.corridor_margin >= 0:
+            raise ValueError(f"SuiteConfig.corridor_margin must be >= 0, got {self.corridor_margin!r}")
+
+
+def _free_runs(free: np.ndarray) -> tuple[np.ndarray, int]:
+    """Label the maximal runs of free cells along the last axis: 1, 2, ... in order, 0 where blocked.
+
+    Returns the labels and the number of runs."""
+    starts = free.copy()
+    starts[:, 1:] &= ~free[:, :-1]
+    labels = np.cumsum(starts).reshape(free.shape)  # flattened in the view's C order
+    labels[~free] = 0
+    return labels, int(labels.max(initial=0))
+
 
 def grid_path_exists(world: World, d_inflate: float, cell: float = 0.1) -> bool:
-    """Whether a 4-connected path joins start and goal on an occupancy raster inflated by d_inflate."""
+    """Whether a 4-connected path joins start and goal on an occupancy raster inflated by d_inflate.
+
+    A cell is free when its centre lies farther than d_inflate from every
+    obstacle and at least d_inflate, rounded up to whole cells, from the arena
+    walls. The search is a run flood (a scanline seed fill): the maximal free
+    runs along x and along y are labelled once, and each sweep adds every run
+    along one axis that holds a reached cell, alternating the axes. It stops
+    when the goal's cell is reached, or when a sweep after the first adds no
+    cell: the sweep before it left the set closed along the other axis, so the
+    set is then the start's whole 4-connected component.
+    """
     xmin, ymin, xmax, ymax = world.bounds
     nx = int(math.ceil((xmax - xmin) / cell))
     ny = int(math.ceil((ymax - ymin) / cell))
     xs = xmin + (np.arange(nx) + 0.5) * cell
     ys = ymin + (np.arange(ny) + 0.5) * cell
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
     free = np.ones((nx, ny), dtype=bool)
+    # each distance is an x term plus a y term, so the masks broadcast 1-D
+    # terms; element for element these are the floats of a meshgrid
     for ob in world.obstacles:
         if isinstance(ob, Circle):
-            free &= (gx - ob.cx) ** 2 + (gy - ob.cy) ** 2 > (ob.radius + d_inflate) ** 2
+            free &= ((xs - ob.cx) ** 2)[:, None] + ((ys - ob.cy) ** 2)[None, :] > (ob.radius + d_inflate) ** 2
         else:
-            dx = np.maximum(np.maximum(ob.xmin - gx, 0.0), gx - ob.xmax)
-            dy = np.maximum(np.maximum(ob.ymin - gy, 0.0), gy - ob.ymax)
-            free &= dx * dx + dy * dy > d_inflate**2
+            dx = np.maximum(np.maximum(ob.xmin - xs, 0.0), xs - ob.xmax)
+            dy = np.maximum(np.maximum(ob.ymin - ys, 0.0), ys - ob.ymax)
+            free &= (dx * dx)[:, None] + (dy * dy)[None, :] > d_inflate**2
     # keep off the arena walls too
     wall = int(math.ceil(d_inflate / cell))
     if wall > 0:
@@ -342,21 +387,22 @@ def grid_path_exists(world: World, d_inflate: float, cell: float = 0.1) -> bool:
     # the raster cells of the start and the goal, clamped into the grid
     cells = ((np.array([world.start.position, world.goal]) - (xmin, ymin)) / cell).astype(int)
     start, goal = map(tuple, np.clip(cells, 0, (nx - 1, ny - 1)))
-    # 4-connected flood fill: grow the reached set by one cell a sweep until it
-    # holds the goal or stops growing
+    x_runs, n_x = _free_runs(free.T)
+    runs = ((x_runs.T, n_x), _free_runs(free))  # along x, then along y
     reach = np.zeros_like(free)
     reach[start] = free[start]
-    while not reach[goal]:
-        grown = reach.copy()
-        grown[1:, :] |= reach[:-1, :]
-        grown[:-1, :] |= reach[1:, :]
-        grown[:, 1:] |= reach[:, :-1]
-        grown[:, :-1] |= reach[:, 1:]
-        grown &= free
-        if np.array_equal(grown, reach):
+    size = int(reach[start])
+    for sweep in itertools.count():
+        labels, n_runs = runs[sweep % 2]
+        hit = np.zeros(n_runs + 1, dtype=bool)
+        hit[labels[reach]] = True  # a reached cell is free, so label 0 is never hit
+        reach = hit[labels]
+        if reach[goal]:
+            return True
+        grown = np.count_nonzero(reach)
+        if sweep and grown == size:
             return False
-        reach = grown
-    return True
+        size = grown
 
 
 def make_clutter_world(rng: np.random.Generator, suite: SuiteConfig | None = None) -> World:

@@ -28,20 +28,29 @@ from .dynamics import RobotState
 _BIAS_KNOTS = 12  # knots of the bias field around the full circle of bearings
 
 
+def _items(value) -> tuple:
+    """A tuple field's elements, or a scalar field as a one-element tuple."""
+    return value if isinstance(value, tuple) else (value,)
+
+
 def _check_finite(obj) -> None:
+    """Refuse a field of obj, or an element of a tuple field, that is not finite."""
     for f in fields(obj):
-        if not math.isfinite(getattr(obj, f.name)):
+        if not all(map(math.isfinite, _items(getattr(obj, f.name)))):
             raise ValueError(f"{type(obj).__name__}.{f.name} must be finite")
 
 
-def _check_counts(obj, *names) -> None:
-    """Refuse a field of obj among `names` that is not an integer (a bool or 2.0 included) or is < 1."""
+def _check_counts(obj, *names, least: int = 1) -> None:
+    """Refuse a field of obj among `names` that is not an integer (a bool or 2.0 included) or is
+    < least; a tuple field is checked element by element."""
     for name in names:
         value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{type(obj).__name__}.{name} must be an integer, got {value!r}")
-        if value < 1:
-            raise ValueError(f"{type(obj).__name__}.{name} must be >= 1, got {value!r}")
+        for item in _items(value):
+            if isinstance(item, bool) or not isinstance(item, numbers.Integral):
+                kind = "integers" if isinstance(value, tuple) else "an integer"
+                raise ValueError(f"{type(obj).__name__}.{name} must be {kind}, got {value!r}")
+            if item < least:
+                raise ValueError(f"{type(obj).__name__}.{name} must be >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -405,14 +414,24 @@ def obstacle_to_dict(ob: Obstacle) -> dict:
     return {"type": "box", "min": [ob.xmin, ob.ymin], "max": [ob.xmax, ob.ymax]}
 
 
-def obstacle_from_dict(d: dict) -> Obstacle:
+def _point_of(d: dict, key: str, path: str) -> list:
+    """d[key], refused unless it is two finite numbers."""
+    value = d[key]
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(isinstance(v, numbers.Real) and math.isfinite(v) for v in value)):
+        raise ValueError(f"{path}.{key} must be two finite numbers, got {value!r}")
+    return value
+
+
+def obstacle_from_dict(d: dict, path: str) -> Obstacle:
+    """The obstacle `d` describes; `path` names it in errors (e.g. "world: obstacles[0]")."""
     kind = d.get("type")
     if kind == "circle":
         _check_keys("circle", d, ("type", "center", "radius"))
-        return Circle(*d["center"], d["radius"])
+        return Circle(*_point_of(d, "center", path), d["radius"])
     if kind == "box":
         _check_keys("box", d, ("type", "min", "max"))
-        (xmin, ymin), (xmax, ymax) = d["min"], d["max"]
+        (xmin, ymin), (xmax, ymax) = _point_of(d, "min", path), _point_of(d, "max", path)
         return Box(xmin, ymin, xmax, ymax)
     raise ValueError(f"unknown obstacle type {kind!r}")
 
@@ -429,7 +448,7 @@ def world_to_dict(world: World) -> dict:
 def _obstacles_from_list(obs) -> list[Obstacle]:
     if not isinstance(obs, list) or not all(isinstance(d, dict) for d in obs):
         raise ValueError("world: obstacles must be a list of objects")
-    return [obstacle_from_dict(d) for d in obs]
+    return [obstacle_from_dict(d, f"world: obstacles[{i}]") for i, d in enumerate(obs)]
 
 
 def world_from_dict(d: dict) -> World:

@@ -10,6 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clearnav import bench
 from clearnav.bench import (
@@ -26,6 +28,7 @@ from clearnav.bench import (
     run_benchmark,
     run_episode,
     suite_worlds,
+    training_worlds,
 )
 from clearnav.dynamics import RobotState
 from clearnav.model import (
@@ -141,7 +144,43 @@ GRID_CASES = {
     "start_and_goal_in_one_cell": ((Box(4.0, 0.0, 5.0, 8.0),), (1.02, 1.03), (1.07, 1.08), 0.2, True),
     "blocked_goal": ((Box(7.0, 3.0, 9.0, 5.0),), (1.0, 4.0), (8.0, 4.0), 0.2, False),
     "blocked_start": ((Box(0.5, 3.0, 2.0, 5.0),), (1.0, 4.0), (8.0, 4.0), 0.2, False),
+    # a square spiral wall of ten arms around the start: the only way out follows
+    # its corridor, and a shortest path turns nine times
+    "spiral": ((Box(4.9, 3.9, 5.9, 4.1), Box(5.7, 3.9, 5.9, 4.9), Box(4.1, 4.7, 5.9, 4.9),
+                Box(4.1, 3.1, 4.3, 4.9), Box(4.1, 3.1, 6.7, 3.3), Box(6.5, 3.1, 6.7, 5.7),
+                Box(3.3, 5.5, 6.7, 5.7), Box(3.3, 2.3, 3.5, 5.7), Box(3.3, 2.3, 7.5, 2.5),
+                Box(7.3, 2.3, 7.5, 6.5)), (5.4, 4.4), (9.0, 1.0), 0.1, True),
+    # the start's free run along x is its own cell: the first sweep adds nothing,
+    # and only the sweep along y leaves the slot
+    "one_cell_slot": ((Box(0.0, 0.0, 4.0, 6.0), Box(4.1, 0.0, 10.0, 6.0)), (4.05, 1.0), (8.0, 7.0),
+                      0.0, True),
+    # the goal's cell is free, but four walls seal it in
+    "sealed_goal": ((Box(7.0, 3.0, 9.0, 3.2), Box(7.0, 4.8, 9.0, 5.0), Box(7.0, 3.0, 7.2, 5.0),
+                     Box(8.8, 3.0, 9.0, 5.0)), (1.0, 4.0), (8.0, 4.0), 0.2, False),
 }
+
+
+@st.composite
+def grid_worlds(draw):
+    """(world, d_inflate, cell): up to 30 boxes and circles anywhere in ARENA, and a
+    start and goal anywhere, inside an obstacle, in the raster's last row or column,
+    or outside the bounds."""
+    xmin, ymin, xmax, ymax = ARENA
+    x, y = st.floats(xmin, xmax), st.floats(ymin, ymax)
+    size, radius = st.floats(0.01, 3.0), st.floats(0.01, 1.5)
+    boxes = st.builds(lambda x0, y0, w, h: Box(x0, y0, x0 + w, y0 + h), x, y, size, size)
+    circles = st.builds(Circle, x, y, radius)
+    obstacles = draw(st.lists(st.one_of(boxes, circles), max_size=30))
+    cell = draw(st.sampled_from([0.05, 0.1, 0.13]))
+    edge_x, edge_y = st.floats(xmax - cell / 2, xmax), st.floats(ymax - cell / 2, ymax)
+    points = [st.tuples(st.floats(xmin - 2, xmax + 2), st.floats(ymin - 2, ymax + 2)),
+              st.tuples(edge_x, y), st.tuples(x, edge_y), st.tuples(edge_x, edge_y)]
+    if obstacles:
+        points.append(st.sampled_from([((ob.xmin + ob.xmax) / 2, (ob.ymin + ob.ymax) / 2)
+                                       if isinstance(ob, Box) else (ob.cx, ob.cy) for ob in obstacles]))
+    start, goal = draw(st.one_of(points)), draw(st.one_of(points))
+    d_inflate = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.6)))
+    return World(tuple(obstacles), ARENA, RobotState(*start, 0.0), goal), d_inflate, cell
 
 
 class TestClutterWorlds:
@@ -175,7 +214,41 @@ class TestClutterWorlds:
         monkeypatch.setattr(bench, "grid_path_exists", compared)
         for seed in (1, 2, 77):
             suite_worlds(24, seed)
-        assert len(checked) >= 72
+            training_worlds(24, seed)
+        assert len(checked) >= 144
+
+    @settings(max_examples=150, deadline=None)
+    @given(grid_worlds())
+    def test_grid_path_matches_bfs_on_random_worlds(self, case):
+        world, d_inflate, cell = case
+        assert grid_path_exists(world, d_inflate, cell) == bfs_path_exists(world, d_inflate, cell)
+
+    @pytest.mark.parametrize("change, message", [
+        pytest.param({"grid_cell": 0.0}, r"SuiteConfig\.grid_cell must be > 0, got 0\.0", id="zero-cell"),
+        pytest.param({"grid_cell": -0.1}, r"SuiteConfig\.grid_cell must be > 0, got -0\.1",
+                     id="negative-cell"),
+        pytest.param({"grid_cell": math.nan}, r"SuiteConfig\.grid_cell must be finite", id="nan-cell"),
+        pytest.param({"d_o": math.nan}, r"SuiteConfig\.d_o must be finite", id="nan-d_o"),
+        pytest.param({"d_o": 0.0}, r"SuiteConfig\.d_o must be > 0, got 0\.0", id="zero-d_o"),
+        pytest.param({"corridor_margin": -5.0}, r"SuiteConfig\.corridor_margin must be >= 0, got -5\.0",
+                     id="negative-margin"),
+        pytest.param({"n_obstacles": (5, 2)},
+                     r"SuiteConfig\.n_obstacles must have low <= high, got \(5, 2\)", id="unordered-count"),
+        pytest.param({"n_obstacles": (-1, 2)}, r"SuiteConfig\.n_obstacles must be >= 0, got \(-1, 2\)",
+                     id="negative-count"),
+        pytest.param({"n_obstacles": (1.5, 2)},
+                     r"SuiteConfig\.n_obstacles must be integers, got \(1\.5, 2\)", id="float-count"),
+        pytest.param({"box_size": (0.9, 0.3)},
+                     r"SuiteConfig\.box_size must have low <= high, got \(0\.9, 0\.3\)", id="unordered-box"),
+        pytest.param({"circle_radius": (0.0, 0.3)},
+                     r"SuiteConfig\.circle_radius must be > 0, got \(0\.0, 0\.3\)", id="zero-radius"),
+        pytest.param({"circle_radius": (0.1,)},
+                     r"SuiteConfig\.circle_radius must be a \(low, high\) pair, got \(0\.1,\)",
+                     id="short-pair"),
+    ])
+    def test_suite_config_refuses_values_the_generator_cannot_use(self, change, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SuiteConfig(**change)
 
     def test_suite_deterministic(self):
         a = suite_worlds(3, seed=5)

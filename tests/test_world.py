@@ -447,6 +447,22 @@ MALFORMED_SCENARIOS = [
                  id="obstacle-not-object"),
     pytest.param({"world.obstacles": {"type": "circle", "center": [5.0, 4.0], "radius": 0.5}},
                  "world: obstacles must be a list of objects", id="obstacles-not-list"),
+    pytest.param({"world.obstacles.0.center": [5.0]},
+                 r"world: obstacles\[0\]\.center must be two finite numbers, got \[5\.0\]",
+                 id="center-short"),
+    pytest.param({"world.obstacles.0.center": [5.0, 4.0, 1.0]},
+                 r"world: obstacles\[0\]\.center must be two finite numbers, got \[5\.0, 4\.0, 1\.0\]",
+                 id="center-long"),
+    pytest.param({"world.obstacles.1.min": [2.0]},
+                 r"world: obstacles\[1\]\.min must be two finite numbers, got \[2\.0\]", id="min-short"),
+    pytest.param({"world.obstacles.1.min": [2.0, 5.0, 0.0]},
+                 r"world: obstacles\[1\]\.min must be two finite numbers, got \[2\.0, 5\.0, 0\.0\]",
+                 id="min-long"),
+    pytest.param({"world.obstacles.1.max": [3.0]},
+                 r"world: obstacles\[1\]\.max must be two finite numbers, got \[3\.0\]", id="max-short"),
+    pytest.param({"world.obstacles.1.max": [3.0, 6.0, 0.0]},
+                 r"world: obstacles\[1\]\.max must be two finite numbers, got \[3\.0, 6\.0, 0\.0\]",
+                 id="max-long"),
     pytest.param({"sensor.n_rays": 2.5}, r"SensorConfig\.n_rays must be an integer, got 2\.5",
                  id="sensor-float-count"),
     pytest.param({"sensor.noise.drift_timescale": 2.5},
