@@ -49,6 +49,7 @@ from .world import (
     _check_counts,
     _check_finite,
     _check_keys,
+    _read,
     body_to_world,
     raycast_scan,
     true_clearance,
@@ -103,7 +104,7 @@ class EpisodeConfig:
 
 @dataclass(eq=False)
 class EpisodeOutcome:
-    result: str  # reached | collided | stuck | timeout
+    result: str  # one of OUTCOMES
     duration: float  # sim seconds
     trace: dict  # per-step arrays (see TRACE_FIELDS)
     avg_speed: float
@@ -116,6 +117,7 @@ class EpisodeOutcome:
     dt: float  # sim seconds per command, as the replay steps them
 
 
+OUTCOMES = ("reached", "collided", "stuck", "timeout")
 TRACE_FIELDS = ("t", "x", "y", "psi", "v", "omega", "mu", "sigma", "lam", "risk", "true_clearance")
 
 
@@ -158,11 +160,13 @@ class LearnedModel:
 
 
 def model_from_checkpoint(path) -> LearnedModel:
-    """Load a learned model; its featurizer and step must be fully described by the meta."""
+    """Load a learned model; the meta gives its featurizer and step: fov, max_range, n_sectors, dt > 0."""
     params, _, meta = load_checkpoint(path)
-    missing = [k for k in ("fov", "max_range", "n_sectors", "dt") if k not in meta]
-    if missing:
-        raise ValueError(f"{path}: checkpoint meta lacks the featurizer and step keys {missing}")
+    for key, kind in (("fov", float), ("max_range", float), ("n_sectors", int), ("dt", float)):
+        if key not in meta:
+            raise ValueError(f"{path}: meta_json: missing key {key!r}")
+        if not _read(meta[key], kind, f"{path}: meta_json.{key}") > 0:
+            raise ValueError(f"{path}: meta_json.{key} must be > 0, got {meta[key]}")
     feat = PolarFeaturizer(fov=meta["fov"], max_range=meta["max_range"], n_sectors=meta["n_sectors"])
     if feat.n_sectors + 2 != params.n_features:
         raise ValueError(
@@ -492,7 +496,6 @@ def run_benchmark(
     sensor: SensorConfig,
     planner_cfg: PlannerConfig,
     episode_cfg: EpisodeConfig | None = None,
-    suite: SuiteConfig | None = None,
     workers: int = 1,
     models: dict[str, LearnedModel] | None = None,
 ) -> BenchmarkReport:
@@ -511,7 +514,7 @@ def run_benchmark(
         raise ValueError("workers must be >= 1")
     _check_methods(methods, models or {})
     ep = episode_cfg or EpisodeConfig()
-    worlds = suite_worlds(episodes, seed, suite)
+    worlds = suite_worlds(episodes, seed)
     cfg_payload = {
         "methods": sorted(methods),
         "episodes": episodes,
@@ -519,7 +522,7 @@ def run_benchmark(
         "sensor": asdict(sensor),
         "planner": asdict(planner_cfg),
         "episode": asdict(ep),
-        "suite": asdict(suite or SuiteConfig()),
+        "suite": asdict(SuiteConfig()),
     }
     jobs = [(world, method, _episode_seed(seed, e), sensor, planner_cfg, ep)
             for method in methods for e, world in enumerate(worlds)]
@@ -594,24 +597,26 @@ def emit_traces(outcome: EpisodeOutcome, out_dir, stem: str = "episode") -> tupl
 
 
 def replay_trajectory(replay_path) -> tuple[World, np.ndarray]:
-    """Re-simulate the recorded commands; returns (world, states (n+1, 5)). An unknown or missing
-    key, a bad world, a dt not finite and > 0, or commands not a finite (n, 2) array raise
-    ValueError naming the file."""
+    """Re-simulate the recorded commands; returns (world, states (n+1, 5)). A key or value other
+    than emit_traces writes raises ValueError naming the file and the value's path."""
     try:
         with open(replay_path) as f:
-            doc = json.load(f)
+            doc = _read(json.load(f), dict, "replay")
         _check_keys("replay", doc, ("world", "method", "seed", "result", "dt", "commands"))
-        world, dt = world_from_dict(doc["world"]), float(doc["dt"])
-        commands = np.asarray(doc["commands"], dtype=float)
-        if not (math.isfinite(dt) and dt > 0):
-            raise ValueError(f"replay: dt must be finite and > 0, got {dt}")
-        if commands.ndim != 2 or commands.shape[1] != 2 or not np.isfinite(commands).all():
-            raise ValueError("replay: commands must be a finite (n, 2) array")
-    except (ValueError, TypeError) as e:
+        world, dt = world_from_dict(doc["world"]), _read(doc["dt"], float, "dt")
+        commands = _read(doc["commands"], tuple[tuple[float, float], ...], "commands")
+        for key, allowed in (("method", METHODS), ("result", OUTCOMES)):
+            if _read(doc[key], str, key) not in allowed:
+                raise ValueError(f"{key} must be one of {allowed}, got {json.dumps(doc[key])}")
+        if _read(doc["seed"], int, "seed") < 0:
+            raise ValueError(f"seed must be >= 0, got {doc['seed']}")
+        if not dt > 0:
+            raise ValueError(f"dt must be > 0, got {dt}")
+    except ValueError as e:
         raise ValueError(f"{replay_path}: {e}") from None
     s = world.start
     states = [s.as_array()]
-    for v, w in commands.tolist():
+    for v, w in commands:
         s = step(s, v, w, dt)
         states.append(s.as_array())
     return world, np.asarray(states)

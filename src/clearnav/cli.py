@@ -35,12 +35,12 @@ def _default_sensor(noisy: bool = True) -> SensorConfig:
 
 
 def _or_exit(path, call, *args):
-    """call(*args); a ValueError, TypeError or OSError from it exits with one line naming `path` once."""
+    """call(*args); a ValueError or OSError from it exits with one line naming `path` once."""
     try:
         return call(*args)
     except OSError as e:
         raise SystemExit(f"{path}: {e.strerror or e}") from None
-    except (ValueError, TypeError) as e:
+    except ValueError as e:
         message = str(e)
         raise SystemExit(message if message.startswith(f"{path}: ") else f"{path}: {message}") from None
 
@@ -81,7 +81,7 @@ def _planner_from_json(path) -> PlannerConfig:
     if path is None:
         return PlannerConfig()
     with open(path) as f:
-        return _from_dict(PlannerConfig, json.load(f), "planner config")
+        return _from_dict(PlannerConfig, json.load(f), "", "planner config")
 
 
 def cmd_gen_data(args) -> int:

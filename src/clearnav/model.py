@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import RobotState
-from .world import read_npz
+from .world import _read, read_npz
 
 LAMBDA_FLOOR = 1e-3  # kernel width lower bound (m)
 DEFAULT_LAMBDA = 0.1  # width used when no learned head is available
@@ -98,6 +98,10 @@ class _FlatParams:
     def __reduce__(self):
         return type(self), (self.vector, *(getattr(self, k) for k in self.header))
 
+    def zeros_like(self):
+        """Parameters of the same header with every weight 0."""
+        return type(self)(np.zeros_like(self.vector), *(getattr(self, k) for k in self.header))
+
 
 class ModelParams(_FlatParams):
     """Weights of the prediction network: 2 tanh hidden layers, 3 linear heads.
@@ -117,9 +121,6 @@ class ModelParams(_FlatParams):
         self.horizon = horizon
         self.hidden = hidden
         super().__init__(vector, hidden=hidden, inputs=n_features + 2 * horizon)
-
-    def zeros_like(self) -> "ModelParams":
-        return ModelParams(np.zeros_like(self.vector), self.n_features, self.horizon, self.hidden)
 
     @classmethod
     def init(
@@ -151,9 +152,6 @@ class RiskHeadParams(_FlatParams):
     def __init__(self, vector: np.ndarray, hidden: int):
         self.hidden = hidden
         super().__init__(vector, risk_hidden=hidden)
-
-    def zeros_like(self) -> "RiskHeadParams":
-        return RiskHeadParams(np.zeros_like(self.vector), self.hidden)
 
     @classmethod
     def init(cls, rng: np.random.Generator, hidden: int = 16) -> "RiskHeadParams":
@@ -447,7 +445,5 @@ def load_checkpoint(path) -> tuple[ModelParams, RiskHeadParams | None, dict]:
     try:
         meta = json.loads(z["meta_json"].tobytes().decode()) if "meta_json" in z else {}
     except ValueError:  # not UTF-8, or not JSON
-        meta = None
-    if not isinstance(meta, dict):
-        raise ValueError(f"{path}: array meta_json does not hold a JSON object")
-    return params, risk_head, meta
+        raise ValueError(f"{path}: array meta_json does not hold JSON") from None
+    return params, risk_head, _read(meta, dict, f"{path}: meta_json")

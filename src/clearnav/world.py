@@ -17,15 +17,17 @@ import functools
 import json
 import math
 import numbers
+import typing
 import zipfile
 import zlib
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from .dynamics import RobotState
 
 _BIAS_KNOTS = 12  # knots of the bias field around the full circle of bearings
+_FLOAT_MAX = 1.7976931348623157e308  # the largest finite float64
 
 
 def _items(value) -> tuple:
@@ -354,14 +356,46 @@ def _check_keys(section: str, d: dict, known, required=None) -> None:
             raise ValueError(f"{section}: missing key {key!r}")
 
 
-def _from_dict(cls, d: dict, section: str, **read):
-    """Dataclass cls from the mapping d of its fields, each passed through its
-    function in `read` if it has one. A key cls does not define, or a missing
-    field without a default, raises ValueError naming the section."""
+def _read(value, kind, path: str):
+    """The JSON value read as `kind`: float (a finite number; an int stays an int), int (not a bool),
+    str, dict, a dataclass (an object of its fields), Obstacle, tuple[X, Y] or tuple[X, ...] (a list of
+    that length or of any, read into a tuple). Else a ValueError starting with `path`, the value's place."""
+    if kind is float:  # an int past the largest float is no finite number either
+        ok = isinstance(value, float) and math.isfinite(value) or type(value) is int and abs(value) <= _FLOAT_MAX
+        need = "a finite number"
+    elif kind is int:
+        ok, need = type(value) is int, "an integer"
+    elif kind is str or kind is dict:
+        ok, need = isinstance(value, kind), "a string" if kind is str else "an object"
+    elif kind == Obstacle:
+        return obstacle_from_dict(value, path)
+    elif is_dataclass(kind):
+        return _from_dict(kind, value, path)
+    else:  # tuple[X, Y] or tuple[X, ...]
+        items = typing.get_args(kind)
+        many = items[-1] is Ellipsis
+        if isinstance(value, list) and (many or len(value) == len(items)):
+            return tuple(_read(v, items[0 if many else i], f"{path}[{i}]") for i, v in enumerate(value))
+        ok, need = False, "a list" if many else f"a list of {len(items)}"
+    if not ok:
+        raise ValueError(f"{path} must be {need}, got {json.dumps(value)}")
+    return value
+
+
+def _from_dict(cls, d, path: str, document: str = ""):
+    """Dataclass cls from the JSON object d at `path`, or the whole `document` at path "", each field
+    read by _read as its annotation says; a field left out takes its default. Errors name the object."""
+    where = path or document
+    d = _read(d, dict, where)
     fs = fields(cls)
     required = [f.name for f in fs if f.default is MISSING and f.default_factory is MISSING]
-    _check_keys(section, d, [f.name for f in fs], required)
-    return cls(**{k: read[k](v) if k in read else v for k, v in d.items()})
+    _check_keys(where, d, [f.name for f in fs], required)
+    kinds = typing.get_type_hints(cls)
+    values = {k: _read(v, kinds[k], f"{path}.{k}" if path else k) for k, v in d.items()}
+    try:
+        return cls(**values)
+    except ValueError as e:  # a range rule of cls
+        raise ValueError(f"{where}: {e}") from None
 
 
 def read_npz(path, kind: str, version: int, axes: dict, optional=(), advice: str = "") -> dict:
@@ -414,26 +448,19 @@ def obstacle_to_dict(ob: Obstacle) -> dict:
     return {"type": "box", "min": [ob.xmin, ob.ymin], "max": [ob.xmax, ob.ymax]}
 
 
-def _point_of(d: dict, key: str, path: str) -> list:
-    """d[key], refused unless it is two finite numbers."""
-    value = d[key]
-    if not (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(v, numbers.Real) and math.isfinite(v) for v in value)):
-        raise ValueError(f"{path}.{key} must be two finite numbers, got {value!r}")
-    return value
-
-
-def obstacle_from_dict(d: dict, path: str) -> Obstacle:
-    """The obstacle `d` describes; `path` names it in errors (e.g. "world: obstacles[0]")."""
-    kind = d.get("type")
-    if kind == "circle":
-        _check_keys("circle", d, ("type", "center", "radius"))
-        return Circle(*_point_of(d, "center", path), d["radius"])
-    if kind == "box":
-        _check_keys("box", d, ("type", "min", "max"))
-        (xmin, ymin), (xmax, ymax) = _point_of(d, "min", path), _point_of(d, "max", path)
-        return Box(xmin, ymin, xmax, ymax)
-    raise ValueError(f"unknown obstacle type {kind!r}")
+def obstacle_from_dict(d, path: str) -> Obstacle:
+    """The obstacle the JSON object d at `path` (e.g. "world.obstacles[0]") describes."""
+    d = _read(d, dict, path)
+    _check_keys(path, d, ("type", "center", "radius", "min", "max"), ("type",))
+    if d["type"] == "circle":
+        _check_keys(path, d, ("type", "center", "radius"))
+        cx, cy = _read(d["center"], tuple[float, float], f"{path}.center")
+        return _from_dict(Circle, {"cx": cx, "cy": cy, "radius": d["radius"]}, path)
+    if d["type"] == "box":
+        _check_keys(path, d, ("type", "min", "max"))
+        lo, hi = (_read(d[k], tuple[float, float], f"{path}.{k}") for k in ("min", "max"))
+        return _from_dict(Box, dict(zip(("xmin", "ymin", "xmax", "ymax"), lo + hi)), path)
+    raise ValueError(f'{path}.type must be "circle" or "box", got {json.dumps(d["type"])}')
 
 
 def world_to_dict(world: World) -> dict:
@@ -445,20 +472,9 @@ def world_to_dict(world: World) -> dict:
     }
 
 
-def _obstacles_from_list(obs) -> list[Obstacle]:
-    if not isinstance(obs, list) or not all(isinstance(d, dict) for d in obs):
-        raise ValueError("world: obstacles must be a list of objects")
-    return [obstacle_from_dict(d, f"world: obstacles[{i}]") for i, d in enumerate(obs)]
-
-
-def world_from_dict(d: dict) -> World:
-    return _from_dict(World, {"obstacles": [], **d}, "world",  # obstacles may be left out
-                      obstacles=_obstacles_from_list,
-                      start=lambda s: _from_dict(RobotState, s, "start"))
-
-
-def sensor_from_dict(d: dict) -> SensorConfig:
-    return _from_dict(SensorConfig, d, "sensor", noise=lambda n: _from_dict(NoiseModel, n, "noise"))
+def world_from_dict(d) -> World:
+    """The World the JSON object d describes; its obstacles may be left out."""
+    return _from_dict(World, {"obstacles": [], **_read(d, dict, "world")}, "world")
 
 
 def save_scenario(path, world: World, sensor: SensorConfig, seed: int) -> None:
@@ -468,11 +484,11 @@ def save_scenario(path, world: World, sensor: SensorConfig, seed: int) -> None:
 
 
 def load_scenario(path) -> tuple[World, SensorConfig, int]:
-    """Load (world, sensor, seed) from a scenario JSON file."""
+    """Load (world, sensor, seed) from a scenario JSON file; sensor and seed may be left out."""
     with open(path) as f:
-        doc = json.load(f)
+        doc = _read(json.load(f), dict, "scenario")
     _check_keys("scenario", doc, ("seed", "world", "sensor"), ("world",))
-    seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ValueError(f"scenario: seed must be an integer >= 0, got {seed!r}")
-    return world_from_dict(doc["world"]), sensor_from_dict(doc.get("sensor", {})), seed
+    seed = _read(doc.get("seed", 0), int, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return world_from_dict(doc["world"]), _read(doc.get("sensor", {}), SensorConfig, "sensor"), seed

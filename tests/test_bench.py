@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from clearnav import bench
 from clearnav.bench import (
+    METHODS,
     EpisodeConfig,
     EpisodeOutcome,
     LearnedModel,
@@ -388,6 +389,17 @@ class TestLearnedModelBoundaries:
         with pytest.raises(ValueError, match=key):
             model_from_checkpoint(path)
 
+    # the other kinds of wrong value are in test_cli's enumeration of every meta_json mutation
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_sectors", 32.0, "must be an integer, got 32.0"),  # np.ones(32.0) would fail mid-episode
+        ("fov", -1, "must be > 0, got -1"),
+    ])
+    def test_checkpoint_meta_value_is_refused_naming_its_key(self, tmp_path, key, value, message):
+        path = tmp_path / "m.npz"
+        save_checkpoint(path, self.params(), None, dict(META, **{key: value}))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: meta_json.{key} {message}')}$"):
+            model_from_checkpoint(path)
+
     def test_checkpoint_sector_count_mismatch(self, tmp_path):
         path = tmp_path / "m.npz"
         save_checkpoint(path, self.params(), None, dict(META, n_sectors=16))
@@ -639,19 +651,21 @@ class TestTraces:
     @pytest.mark.parametrize("change, message", [
         pytest.param({"dt": None}, "replay: missing key 'dt'", id="no-dt"),
         pytest.param({"speed": 1.0}, "replay: unknown key 'speed'", id="unknown-key"),
-        pytest.param({"dt": 0.0}, r"replay: dt must be finite and > 0, got 0\.0", id="zero-dt"),
-        pytest.param({"dt": math.inf}, "replay: dt must be finite and > 0, got inf", id="inf-dt"),
-        pytest.param({"commands": [[0.5]]}, r"replay: commands must be a finite \(n, 2\) array",
-                     id="one-entry"),
-        pytest.param({"commands": [[0.5, 0.1], [0.5]]}, ".*sequence", id="one-short-command"),
-        pytest.param({"commands": [[0.5, math.nan]]}, r"replay: commands must be a finite \(n, 2\) array",
+        pytest.param({"dt": 0.0}, "dt must be > 0, got 0.0", id="zero-dt"),
+        pytest.param({"dt": math.inf}, "dt must be a finite number, got Infinity", id="inf-dt"),
+        pytest.param({"commands": [[0.5]]}, "commands[0] must be a list of 2, got [0.5]", id="one-entry"),
+        pytest.param({"commands": [[0.5, 0.1], [0.5]]}, "commands[1] must be a list of 2, got [0.5]",
+                     id="one-short-command"),
+        pytest.param({"commands": [[0.5, math.nan]]}, "commands[0][1] must be a finite number, got NaN",
                      id="nan-command"),
         pytest.param({"world": {"bounds": [0, 0, 1, 1]}}, "world: missing key 'start'", id="bad-world"),
+        pytest.param({"method": "astar"}, f'method must be one of {METHODS}, got "astar"', id="bad-method"),
+        pytest.param({"seed": -1}, "seed must be >= 0, got -1", id="negative-seed"),
     ])
     def test_malformed_replay_is_refused_naming_the_file(self, tmp_path, change, message):
         path = tmp_path / "run_replay.json"
         path.write_text(json.dumps(replay_doc(**change)))
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             replay_trajectory(path)
 
     def test_speed_stats_match_trace(self, tmp_path):
