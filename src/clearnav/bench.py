@@ -271,7 +271,7 @@ def run_episode(
     while result is None:
         executed, res = mpc_step(sim, world, sensor, factory, goal, cfg, ep.exec_horizon)
         for s in executed if rows else [world.start, *executed]:
-            clearance = true_clearance(s.position, world)
+            clearance = true_clearance((s.x, s.y), world)
             rows.append((len(rows) * cfg.dt, s.x, s.y, s.psi, s.v, s.omega,
                          res.mu, res.sigma, res.lam, res.risk, min(clearance, sensor.max_range)))
             if len(rows) == 1:
@@ -373,15 +373,18 @@ def grid_path_exists(world: World, d_inflate: float, cell: float = 0.1) -> bool:
     xs = xmin + (np.arange(nx) + 0.5) * cell
     ys = ymin + (np.arange(ny) + 0.5) * cell
     free = np.ones((nx, ny), dtype=bool)
-    # each distance is an x term plus a y term, so the masks broadcast 1-D
-    # terms; element for element these are the floats of a meshgrid
-    for ob in world.obstacles:
-        if isinstance(ob, Circle):
-            free &= ((xs - ob.cx) ** 2)[:, None] + ((ys - ob.cy) ** 2)[None, :] > (ob.radius + d_inflate) ** 2
-        else:
-            dx = np.maximum(np.maximum(ob.xmin - xs, 0.0), xs - ob.xmax)
-            dy = np.maximum(np.maximum(ob.ymin - ys, 0.0), ys - ob.ymax)
-            free &= (dx * dx)[:, None] + (dy * dy)[None, :] > d_inflate**2
+    # one (K, nx, ny) mask per obstacle kind, broadcast from 1-D x and y terms: element for
+    # element the floats of a meshgrid per obstacle, the squared radii still Python's
+    circles = [(c.cx, c.cy, (c.radius + d_inflate) ** 2) for c in world.obstacles if isinstance(c, Circle)]
+    boxes = [(b.xmin, b.ymin, b.xmax, b.ymax) for b in world.obstacles if isinstance(b, Box)]
+    if circles:
+        cx, cy, r2 = np.array(circles).T[:, :, None]
+        free &= (((xs - cx) ** 2)[:, :, None] + ((ys - cy) ** 2)[:, None, :] > r2[:, :, None]).all(axis=0)
+    if boxes:
+        x0, y0, x1, y1 = np.array(boxes).T[:, :, None]
+        dx = np.maximum(np.maximum(x0 - xs, 0.0), xs - x1)
+        dy = np.maximum(np.maximum(y0 - ys, 0.0), ys - y1)
+        free &= ((dx * dx)[:, :, None] + (dy * dy)[:, None, :] > d_inflate**2).all(axis=0)
     # keep off the arena walls too
     wall = int(math.ceil(d_inflate / cell))
     if wall > 0:
@@ -431,9 +434,7 @@ def make_clutter_world(rng: np.random.Generator, suite: SuiteConfig | None = Non
         goal = (xmax - suite.goal_x_offset, gy)
         world = World(tuple(obstacles), suite.bounds, start, goal)
         clear = suite.d_o + suite.corridor_margin
-        if true_clearance(start.position, world) <= clear:
-            continue
-        if true_clearance(np.asarray(goal), world) <= clear:
+        if true_clearance((start.x, start.y), world) <= clear or true_clearance(goal, world) <= clear:
             continue
         if grid_path_exists(world, clear, suite.grid_cell):
             return world

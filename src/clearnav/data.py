@@ -85,16 +85,20 @@ class ClearanceDataset:
 
 
 def sample_free_pose(world: World, rng: np.random.Generator, d_o: float) -> RobotState | None:
-    """Random collision-free pose with v ~ U[-1,1] clipped to [0,1], w ~ U[-1,1]."""
+    """Random collision-free pose with v ~ U[-1,1] clipped to [0,1], w ~ U[-1,1].
+
+    x and y are two scalar draws, Python floats: numpy's one C function for scalar and array
+    bounds alike gives them the values and the stream of one draw on the bounds as arrays."""
     xmin, ymin, xmax, ymax = world.bounds
     for _ in range(_POSE_TRIES):
-        p = rng.uniform([xmin, ymin], [xmax, ymax])
-        if true_clearance(p, world) <= d_o:
+        x = rng.uniform(xmin, xmax)
+        y = rng.uniform(ymin, ymax)
+        if true_clearance((x, y), world) <= d_o:
             continue
         psi = rng.uniform(-math.pi, math.pi)
         v = min(max(rng.uniform(-1.0, 1.0), 0.0), 1.0)
         w = rng.uniform(-1.0, 1.0)
-        return RobotState(p[0], p[1], psi, v, w)
+        return RobotState(x, y, psi, v, w)
     return None
 
 

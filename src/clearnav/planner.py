@@ -33,6 +33,7 @@ from .world import standardize_cloud  # unused here: perfbench/tracer.py traces 
 
 _M_TOP_PAD = -2  # glibc <malloc.h>
 _TOP_PAD_BYTES = 64 << 20
+MAX_DRAWS = 2**26  # normal draws per plan iteration, samples * (2 * horizon + risk_draws): 512 MB
 
 
 def _keep_freed_heap_mapped() -> None:
@@ -84,6 +85,8 @@ class PlannerConfig:
 
     def __post_init__(self):
         _check_counts(self, "iterations", "samples", "risk_elites", "elites", "risk_draws", "horizon")
+        if (draws := self.samples * (2 * self.horizon + self.risk_draws)) > MAX_DRAWS:
+            raise ValueError(f"samples * (2 * horizon + risk_draws) must be <= {MAX_DRAWS}, got {draws}")
         if not self.samples >= self.risk_elites >= self.elites:
             raise ValueError("need samples >= risk_elites >= elites")
         if min(self.w_state, self.w_risk, self.w_effort) < 0:

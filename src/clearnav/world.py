@@ -10,6 +10,9 @@ SensorConfig by value, the frozen World by identity (the cache holds a
 reference, so the id cannot be reused). The arrays it returns are read-only
 and shared by every caller of that pose, so the noisy scan and the noise-free
 reference of one pose cost one ray cast.
+
+true_clearance and the World checks run on Python floats: numpy's per-scalar
+dispatch costs several times their few operations, and the values are the same.
 """
 from __future__ import annotations
 
@@ -28,6 +31,7 @@ from .dynamics import RobotState
 
 _BIAS_KNOTS = 12  # knots of the bias field around the full circle of bearings
 _FLOAT_MAX = 1.7976931348623157e308  # the largest finite float64
+MAX_RAYS = 2**16  # rays per scan: far past any sensor, and a scan's arrays stay small
 
 
 def _items(value) -> tuple:
@@ -35,11 +39,23 @@ def _items(value) -> tuple:
     return value if isinstance(value, tuple) else (value,)
 
 
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
 def _check_finite(obj) -> None:
     """Refuse a field of obj, or an element of a tuple field, that is not finite."""
-    for f in fields(obj):
-        if not all(map(math.isfinite, _items(getattr(obj, f.name)))):
-            raise ValueError(f"{type(obj).__name__}.{f.name} must be finite")
+    for name in _field_names(type(obj)):
+        value = getattr(obj, name)
+        if not (all(map(math.isfinite, value)) if isinstance(value, tuple) else math.isfinite(value)):
+            raise ValueError(f"{type(obj).__name__}.{name} must be finite")
+
+
+def _is_vector(value, n: int) -> bool:
+    """Whether np.shape(value) == (n,), answered without numpy for a tuple or list of floats or ints."""
+    plain = type(value) in (tuple, list) and {float, int}.issuperset(map(type, value))
+    return len(value) == n if plain else np.shape(value) == (n,)
 
 
 def _check_counts(obj, *names, least: int = 1) -> None:
@@ -66,10 +82,6 @@ class Circle:
         if self.radius <= 0:
             raise ValueError("circle radius must be positive")
 
-    def boundary_distance(self, p: np.ndarray) -> float:
-        """Distance from p to the boundary; 0 if p is inside."""
-        return max(0.0, math.hypot(p[0] - self.cx, p[1] - self.cy) - self.radius)
-
 
 @dataclass(frozen=True)
 class Box:
@@ -82,11 +94,6 @@ class Box:
         _check_finite(self)
         if not (self.xmin < self.xmax and self.ymin < self.ymax):
             raise ValueError("box min corner must be strictly below max corner")
-
-    def boundary_distance(self, p: np.ndarray) -> float:
-        dx = max(self.xmin - p[0], 0.0, p[0] - self.xmax)
-        dy = max(self.ymin - p[1], 0.0, p[1] - self.ymax)
-        return math.hypot(dx, dy)
 
 
 Obstacle = Circle | Box
@@ -162,6 +169,8 @@ class SensorConfig:
         if not 0.0 < self.fov <= 2 * math.pi:
             raise ValueError("fov must be in (0, 2*pi]")
         _check_counts(self, "n_rays")
+        if self.n_rays > MAX_RAYS:
+            raise ValueError(f"n_rays must be <= {MAX_RAYS}, got {self.n_rays}")
         if not (math.isfinite(self.max_range) and self.max_range > 0):
             raise ValueError("max_range must be positive and finite")
 
@@ -174,13 +183,13 @@ class World:
     goal: tuple[float, float]
 
     def __post_init__(self):
-        if np.shape(self.bounds) != (4,):
+        if not _is_vector(self.bounds, 4):
             raise ValueError(f"World.bounds must be four numbers, got {self.bounds!r}")
         xmin, ymin, xmax, ymax = self.bounds
         if not (all(map(math.isfinite, self.bounds)) and xmin < xmax and ymin < ymax):
             raise ValueError("bounds must form a finite nonempty rectangle")
         _check_finite(self.start)
-        if np.shape(self.goal) != (2,) or not all(map(math.isfinite, self.goal)):
+        if not _is_vector(self.goal, 2) or not all(map(math.isfinite, self.goal)):
             raise ValueError(f"World.goal must be two finite numbers, got {self.goal!r}")
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         object.__setattr__(self, "bounds", tuple(self.bounds))
@@ -200,12 +209,14 @@ class World:
                 raise ValueError(f"{name} is within robot radius of an obstacle (d={d:.3f})")
 
 
-def true_clearance(point: np.ndarray, world: World) -> float:
-    """Minimum distance from point to any obstacle boundary; 0 inside an obstacle."""
-    point = np.asarray(point, dtype=float)
+def true_clearance(point, world: World) -> float:
+    """Minimum distance from point (x, y) to any obstacle boundary; 0 inside an obstacle."""
     if not world.obstacles:
         return math.inf
-    return min(ob.boundary_distance(point) for ob in world.obstacles)
+    x, y = float(point[0]), float(point[1])
+    return min(max(0.0, math.hypot(x - ob.cx, y - ob.cy) - ob.radius) if isinstance(ob, Circle) else
+               math.hypot(max(ob.xmin - x, 0.0, x - ob.xmax), max(ob.ymin - y, 0.0, y - ob.ymax))
+               for ob in world.obstacles)
 
 
 def scan_angles(cfg: SensorConfig) -> np.ndarray:

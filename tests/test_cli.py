@@ -278,6 +278,16 @@ def test_planner_config_unknown_key_exits_naming_the_file(tmp_path, scenario_fil
     assert not (tmp_path / "out").exists()
 
 
+def test_planner_config_asking_for_too_many_draws_exits_naming_the_file(tmp_path, scenario_file):
+    path = tmp_path / "planner.json"
+    path.write_text(json.dumps({"samples": 10**12}))
+    message = r"planner\.json: planner config: samples \* \(2 \* horizon \+ risk_draws\) must be <= "
+    with pytest.raises(SystemExit, match=message):
+        main(["episode", "--scenario", scenario_file, "--planner-config", str(path),
+              "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
 def write_unreadable(path, kind: str) -> None:
     """Put at `path` a file that is not a readable npz archive: text, a .npy array, the
     first 200 bytes of an archive, or (kind "missing") nothing."""

@@ -178,6 +178,16 @@ class TestPlan:
                 fast_cfg(**{name: value})
         assert getattr(fast_cfg(**{name: np.int64(n)}), name) == n
 
+    def test_normal_draws_per_iteration_are_capped(self):
+        # an iteration draws samples * (2 * horizon + risk_draws) normals; 10**12 samples would ask
+        # numpy for terabytes in the first plan, so the config is refused, and only built here
+        assert PlannerConfig(samples=2**19, horizon=49, risk_draws=30).samples == 2**19  # 2**26 draws
+        message = r"^samples \* \(2 \* horizon \+ risk_draws\) must be <= 67108864, got \d+$"
+        for change in ({"samples": 2**19 + 1, "horizon": 49}, {"samples": 10**12}, {"horizon": 10**9},
+                       {"risk_draws": 10**9}):
+            with pytest.raises(ValueError, match=message):
+                PlannerConfig(**change)
+
     def test_risk_draws_at_least_one(self):
         # zero draws would fail in the first plan's draw_dirac_samples
         for risk_draws in (0, -2):

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 
 import clearnav.data
-from clearnav.data import ClearanceDataset, generate_dataset
+from clearnav.bench import suite_worlds
+from clearnav.data import ClearanceDataset, generate_dataset, sample_free_pose
 from clearnav.dynamics import RobotState
 from clearnav.model import ModelParams, RiskHeadParams, forward_batch
 from clearnav.planner import PlannerConfig, PlanningError, plan
@@ -24,7 +25,7 @@ from clearnav.training import (
     risk_head_forward,
     train,
 )
-from clearnav.world import Box, Circle, NoiseModel, SensorConfig, World
+from clearnav.world import Box, Circle, NoiseModel, SensorConfig, World, true_clearance
 
 
 def small_dataset(seed=0, n_worlds=3, snaps=4, seqs=25, open_arena=False):
@@ -155,6 +156,37 @@ class TestGenerateDataset:
         world = World((), (-5, -5, 5, 5), RobotState(0, 0, 0), (1, 1))
         with pytest.raises(ValueError, match=rf"robot radius d_o must be finite and > 0, got {d_o}$"):
             generate_dataset([world], 1, np.random.default_rng(0), SensorConfig(), d_o=d_o)
+
+
+def reference_free_pose(world, rng, d_o):
+    """sample_free_pose as it drew positions with one uniform draw on the bounds as arrays."""
+    xmin, ymin, xmax, ymax = world.bounds
+    for _ in range(200):
+        p = rng.uniform([xmin, ymin], [xmax, ymax])
+        if true_clearance(p, world) <= d_o:
+            continue
+        psi = rng.uniform(-math.pi, math.pi)
+        v = min(max(rng.uniform(-1.0, 1.0), 0.0), 1.0)
+        w = rng.uniform(-1.0, 1.0)
+        return RobotState(p[0], p[1], psi, v, w)
+    return None
+
+
+class TestSampleFreePose:
+    @pytest.mark.parametrize("d_o", [0.3, 0.5, 2.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_poses_and_stream_as_one_draw_on_the_bounds(self, seed, d_o):
+        # two scalar draws give the array draw's floats and leave the generator where it left it
+        blocked = World((Box(-5.0, -5.0, 5.0, 5.0),), (-5, -5, 5, 5), RobotState(0, 0, 0), (1, 1))
+        worlds = [*suite_worlds(4, seed), blocked] * 2
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for world in worlds:
+            got, want = sample_free_pose(world, got_rng, d_o), reference_free_pose(world, want_rng, d_o)
+            if world is blocked:
+                assert got is None and want is None
+            else:
+                assert np.array(astuple(got)).tobytes() == np.array(astuple(want)).tobytes()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def rewrite(path, **changes):

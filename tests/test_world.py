@@ -16,6 +16,7 @@ from clearnav.dynamics import RobotState
 from clearnav.planner import PlannerConfig, SimState, mpc_step
 from clearnav.training import TrainConfig
 from clearnav.world import (
+    MAX_RAYS,
     BiasField,
     Box,
     Circle,
@@ -77,7 +78,55 @@ def assert_same_bits(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def reference_clearance(point, world) -> float:
+    """true_clearance as it ran on numpy scalars: the point as an array, one method call per obstacle."""
+    p = np.asarray(point, dtype=float)
+    if not world.obstacles:
+        return math.inf
+
+    def boundary_distance(ob):
+        if isinstance(ob, Circle):
+            return max(0.0, math.hypot(p[0] - ob.cx, p[1] - ob.cy) - ob.radius)
+        dx = max(ob.xmin - p[0], 0.0, p[0] - ob.xmax)
+        dy = max(ob.ymin - p[1], 0.0, p[1] - ob.ymax)
+        return math.hypot(dx, dy)
+
+    return min(boundary_distance(ob) for ob in world.obstacles)
+
+
+def probe_points(world, rng) -> list[tuple[float, float]]:
+    """Seeded points in and around the arena, each obstacle's centre, points on its rim or on
+    its edges and corners, and NaN coordinates."""
+    xmin, ymin, xmax, ymax = world.bounds
+    points = list(rng.uniform([xmin - 2.0, ymin - 2.0], [xmax + 2.0, ymax + 2.0], (40, 2)))
+    for ob in world.obstacles:
+        if isinstance(ob, Circle):
+            a = rng.uniform(-math.pi, math.pi, 4)
+            points += [(ob.cx, ob.cy), *zip(ob.cx + ob.radius * np.cos(a), ob.cy + ob.radius * np.sin(a))]
+        else:
+            tx, ty = rng.uniform(ob.xmin, ob.xmax), rng.uniform(ob.ymin, ob.ymax)
+            points += [(x, y) for x in (ob.xmin, ob.xmax) for y in (ob.ymin, ob.ymax)]
+            points += [(tx, ob.ymin), (tx, ob.ymax), (ob.xmin, ty), (ob.xmax, ty), (tx, ty)]
+    points += [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)]
+    return [(float(x), float(y)) for x, y in points]
+
+
 class TestTrueClearance:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_numpy_scalar_reference_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        empty = World((), (0.0, 0.0, 10.0, 8.0), RobotState(1.0, 1.0, 0.0), (9.0, 7.0))
+        seen = set()
+        for world in [*suite_worlds(3, seed), empty]:
+            for p in probe_points(world, rng):
+                want = reference_clearance(p, world)
+                seen.add("nan" if math.isnan(want) else "inf" if want == math.inf else want == 0.0)
+                for point in (np.array(p), p, list(p)):
+                    got = true_clearance(point, world)
+                    assert type(got) is float
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (p, point)
+        assert seen == {"nan", "inf", True, False}  # NaN, no obstacle, inside or on one, clear of all
+
     def test_collinear_circle(self, circle_world):
         assert true_clearance(np.array([0.0, 0.0]), circle_world) == pytest.approx(1.0)
 
@@ -310,6 +359,38 @@ class TestValidationAndIO:
         with pytest.raises(ValueError):
             SensorConfig(n_rays=0)
 
+    def test_sensor_ray_count_is_capped(self):
+        # the first scan of 10**12 rays would ask numpy for terabytes; only the config is built here
+        assert SensorConfig(n_rays=MAX_RAYS).n_rays == 2**16
+        for n_rays in (MAX_RAYS + 1, 10**12):
+            with pytest.raises(ValueError, match=rf"^n_rays must be <= 65536, got {n_rays}$"):
+                SensorConfig(n_rays=n_rays)
+
+    @pytest.mark.parametrize("bounds, goal, message", [
+        ((0, 0, 10), (1, 1), "World.bounds must be four numbers, got (0, 0, 10)"),
+        ([0, 0, 10, 8, 1], (1, 1), "World.bounds must be four numbers, got [0, 0, 10, 8, 1]"),
+        (((0, 0), (10, 8)), (1, 1), "World.bounds must be four numbers, got ((0, 0), (10, 8))"),
+        ([[0], [0], [10], [8]], (1, 1), "World.bounds must be four numbers, got [[0], [0], [10], [8]]"),
+        ((0, 0, math.nan, 8), (1, 1), "bounds must form a finite nonempty rectangle"),
+        (np.array([0.0, 0.0, -1.0, 8.0]), (1, 1), "bounds must form a finite nonempty rectangle"),
+        ((0, 0, 10, 8), (1.0,), "World.goal must be two finite numbers, got (1.0,)"),
+        ((0, 0, 10, 8), [1.0, math.nan], "World.goal must be two finite numbers, got [1.0, nan]"),
+        ((0, 0, 10, 8), [[1.0], [2.0]], "World.goal must be two finite numbers, got [[1.0], [2.0]]"),
+    ])
+    def test_world_refuses_bounds_and_goal_that_are_not_numbers(self, bounds, goal, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            World((), bounds, RobotState(1.0, 1.0, 0.0), goal)
+
+    @pytest.mark.parametrize("bounds, goal", [
+        ((0, 0, 10, 8), (1, 1)), ([0.0, 0.0, 10.0, 8.0], [1.0, 1.0]),
+        (np.array([0.0, 0.0, 10.0, 8.0]), np.array([1, 1])),
+        ((True, 0, np.float64(10.0), 8), (np.int64(1), np.float32(1.0))),
+    ])
+    def test_world_takes_bounds_and_goal_of_any_number_type(self, bounds, goal):
+        world = World((), bounds, RobotState(1.0, 1.0, 0.0), goal)
+        assert world.bounds == tuple(bounds) and world.goal == (1.0, 1.0)
+        assert type(world.bounds) is tuple and list(map(type, world.goal)) == [float, float]
+
     def test_sensor_ray_count_must_be_an_integer(self):
         # a float count passes `n_rays >= 1`, then fails in scan_angles' linspace mid-episode
         for n_rays in (2.5, 60.0, np.float64(60.0), True):
@@ -483,6 +564,8 @@ MALFORMED_SCENARIOS = [
     pytest.param({"world.obstacles.0.radius": -0.5}, "world.obstacles[0]: circle radius must be positive",
                  id="radius-negative"),
     pytest.param({"sensor.fov": 0}, "sensor: fov must be in (0, 2*pi]", id="fov-zero"),
+    pytest.param({"sensor.n_rays": 10**12}, "sensor: n_rays must be <= 65536, got 1000000000000",
+                 id="rays-too-many"),
 ]
 
 
