@@ -177,6 +177,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    if args.out:
+        _or_exit(args.out, _check_out, args.out)
     world, states = _or_exit(args.replay, replay_trajectory, args.replay)
     end = states[-1]
     print(f"replayed {states.shape[0] - 1} steps; final pose ({end[0]:.3f}, {end[1]:.3f}, {end[2]:.3f})")

@@ -70,8 +70,9 @@ class ClearanceDataset:
 
     @classmethod
     def load(cls, path) -> "ClearanceDataset":
-        """Read a dataset `save` wrote, strictly (see world.read_npz); bad counts or a snapshot
-        index out of range also raise ValueError naming the file and the array."""
+        """Read a dataset `save` wrote, strictly (see world.read_npz); bad counts, no samples, a
+        snapshot index out of range, a d_o, dt or max_range not > 0 or a fov outside (0, 2*pi]
+        also raise ValueError naming the file and the array."""
         axes = {f.name: f.metadata.get("axes", ()) for f in fields(cls)}
         arrays = read_npz(path, "dataset", DATASET_VERSION, axes,
                           advice="; regenerate it with clearnav gen-data")
@@ -79,8 +80,15 @@ class ClearanceDataset:
         if counts.dtype.kind not in "iu" or (counts < 0).any() or sum(counts.tolist()) != n_points:
             raise ValueError(f"{path}: array counts must hold non-negative integers summing to {n_points}")
         snapshot, n = arrays["snapshot"], arrays["states"].shape[0]
-        if snapshot.dtype.kind not in "iu" or snapshot.size and not 0 <= snapshot.min() <= snapshot.max() < n:
+        if snapshot.size == 0:
+            raise ValueError(f"{path}: array snapshot holds no samples")
+        if snapshot.dtype.kind not in "iu" or not 0 <= snapshot.min() <= snapshot.max() < n:
             raise ValueError(f"{path}: array snapshot must hold integer indices in [0, {n})")
+        for name in ("d_o", "dt", "max_range"):
+            if not arrays[name] > 0:
+                raise ValueError(f"{path}: array {name} must be > 0, got {arrays[name]}")
+        if not 0 < arrays["fov"] <= 2 * math.pi:
+            raise ValueError(f"{path}: array fov must be in (0, 2*pi], got {arrays['fov']}")
         return cls(**{k: v.item() if v.ndim == 0 else v for k, v in arrays.items()})
 
 

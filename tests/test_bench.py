@@ -381,12 +381,11 @@ class TestLearnedModelBoundaries:
         assert model.featurizer == PolarFeaturizer(META["fov"], 5.0, 32)
         assert model.dt == 0.1
 
-    @pytest.mark.parametrize("key", ["fov", "max_range", "n_sectors", "dt"])
-    def test_checkpoint_missing_featurizer_meta(self, tmp_path, key):
+    def test_checkpoint_missing_featurizer_meta(self, tmp_path):
+        # dt is the last key the loader looks for; test_cli's enumeration deletes each key in turn
         path = tmp_path / "m.npz"
-        meta = {k: v for k, v in META.items() if k != key}
-        save_checkpoint(path, self.params(), None, meta)
-        with pytest.raises(ValueError, match=key):
+        save_checkpoint(path, self.params(), None, {k: v for k, v in META.items() if k != "dt"})
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: meta_json: missing key 'dt'$"):
             model_from_checkpoint(path)
 
     # the other kinds of wrong value are in test_cli's enumeration of every meta_json mutation
@@ -620,12 +619,18 @@ class TestCloudPredictor:
 
 
 class TestTraces:
-    def _episode(self):
+    @pytest.fixture(scope="class")
+    def episode(self):
+        """One seeded oracle episode for the class; its arrays are read-only, so a test cannot
+        change what the next one reads."""
         world = make_clutter_world(np.random.default_rng(42))
-        return world, run_episode(world, "oracle", 5, quiet(), fast_planner(), EpisodeConfig())
+        out = run_episode(world, "oracle", 5, quiet(), fast_planner(), EpisodeConfig())
+        for arr in (out.commands, *out.trace.values()):
+            arr.flags.writeable = False
+        return world, out
 
-    def test_row_count_and_strict_csv(self, tmp_path):
-        world, out = self._episode()
+    def test_row_count_and_strict_csv(self, tmp_path, episode):
+        _, out = episode
         csv_path, replay_path = emit_traces(out, tmp_path)
         with open(csv_path) as f:
             rows = list(csv.reader(f))
@@ -635,30 +640,22 @@ class TestTraces:
             for v in row:
                 assert math.isfinite(float(v))
 
-    def test_replay_round_trip(self, tmp_path):
+    def test_replay_round_trip(self, tmp_path, episode):
         # the replay steps with the episode's own dt, so it repeats the trace exactly,
         # also for lengths whose mean step of the trace times is not dt (12 commands)
-        world, out = self._episode()
+        world, out = episode
         short = run_episode(world, "oracle", 5, quiet(), fast_planner(), EpisodeConfig(timeout_s=1.2))
         assert short.commands.shape == (12, 2)
-        for stem, episode in (("full", out), ("short", short)):
-            _, replay_path = emit_traces(episode, tmp_path, stem)
+        for stem, outcome in (("full", out), ("short", short)):
+            _, replay_path = emit_traces(outcome, tmp_path, stem)
             _, states = replay_trajectory(replay_path)
-            assert np.array_equal(states[:, 0], episode.trace["x"])
-            assert np.array_equal(states[:, 1], episode.trace["y"])
-            assert np.array_equal(states[:, 2], episode.trace["psi"])
+            assert np.array_equal(states[:, 0], outcome.trace["x"])
+            assert np.array_equal(states[:, 1], outcome.trace["y"])
+            assert np.array_equal(states[:, 2], outcome.trace["psi"])
 
+    # the replay's own rules, each pinned whole; test_cli's enumeration covers the reader's refusals
     @pytest.mark.parametrize("change, message", [
-        pytest.param({"dt": None}, "replay: missing key 'dt'", id="no-dt"),
-        pytest.param({"speed": 1.0}, "replay: unknown key 'speed'", id="unknown-key"),
         pytest.param({"dt": 0.0}, "dt must be > 0, got 0.0", id="zero-dt"),
-        pytest.param({"dt": math.inf}, "dt must be a finite number, got Infinity", id="inf-dt"),
-        pytest.param({"commands": [[0.5]]}, "commands[0] must be a list of 2, got [0.5]", id="one-entry"),
-        pytest.param({"commands": [[0.5, 0.1], [0.5]]}, "commands[1] must be a list of 2, got [0.5]",
-                     id="one-short-command"),
-        pytest.param({"commands": [[0.5, math.nan]]}, "commands[0][1] must be a finite number, got NaN",
-                     id="nan-command"),
-        pytest.param({"world": {"bounds": [0, 0, 1, 1]}}, "world: missing key 'start'", id="bad-world"),
         pytest.param({"method": "astar"}, f'method must be one of {METHODS}, got "astar"', id="bad-method"),
         pytest.param({"seed": -1}, "seed must be >= 0, got -1", id="negative-seed"),
     ])
@@ -668,13 +665,13 @@ class TestTraces:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             replay_trajectory(path)
 
-    def test_speed_stats_match_trace(self, tmp_path):
-        world, out = self._episode()
+    def test_speed_stats_match_trace(self, episode):
+        _, out = episode
         assert out.avg_speed == pytest.approx(out.trace["v"][1:].mean())
         assert out.max_speed == pytest.approx(out.trace["v"][1:].max())
 
-    def test_replay_json_contents(self, tmp_path):
-        world, out = self._episode()
+    def test_replay_json_contents(self, tmp_path, episode):
+        _, out = episode
         _, replay_path = emit_traces(out, tmp_path)
         with open(replay_path) as f:
             doc = json.load(f)

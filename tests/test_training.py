@@ -267,6 +267,15 @@ class TestDatasetFile:
         pytest.param({"clearance": np.full(300, np.nan)}, "array clearance contains non-finite values",
                      id="nan-array"),
         pytest.param({"d_o": np.array(np.inf)}, "array d_o contains non-finite values", id="inf-scalar"),
+        # range rules: what generate_dataset cannot write, training would take up and fail on late
+        pytest.param({"snapshot": np.zeros(0, int), "controls": np.zeros((0, 50, 2)), "clearance": np.zeros(0)},
+                     "array snapshot holds no samples$", id="no-samples"),
+        pytest.param({"d_o": np.array(-1.0)}, r"array d_o must be > 0, got -1\.0$", id="negative-d-o"),
+        pytest.param({"dt": np.array(-0.1)}, r"array dt must be > 0, got -0\.1$", id="negative-dt"),
+        pytest.param({"max_range": np.array(0.0)}, r"array max_range must be > 0, got 0\.0$",
+                     id="zero-max-range"),
+        pytest.param({"fov": np.array(0.0)}, r"array fov must be in \(0, 2\*pi\], got 0\.0$", id="zero-fov"),
+        pytest.param({"fov": np.array(7.0)}, r"array fov must be in \(0, 2\*pi\], got 7\.0$", id="wide-fov"),
     ])
     def test_malformed_file_is_refused_naming_the_array(self, saved, change, message):
         _, path = saved
