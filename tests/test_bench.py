@@ -381,11 +381,11 @@ class TestLearnedModelBoundaries:
         assert model.featurizer == PolarFeaturizer(META["fov"], 5.0, 32)
         assert model.dt == 0.1
 
-    def test_checkpoint_missing_featurizer_meta(self, tmp_path):
-        # dt is the last key the loader looks for; test_cli's enumeration deletes each key in turn
+    @pytest.mark.parametrize("key", ["fov", "max_range", "n_sectors", "dt"])
+    def test_checkpoint_missing_featurizer_meta(self, tmp_path, key):
         path = tmp_path / "m.npz"
-        save_checkpoint(path, self.params(), None, {k: v for k, v in META.items() if k != "dt"})
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: meta_json: missing key 'dt'$"):
+        save_checkpoint(path, self.params(), None, {k: v for k, v in META.items() if k != key})
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: meta_json: missing key '{key}'$"):
             model_from_checkpoint(path)
 
     # the other kinds of wrong value are in test_cli's enumeration of every meta_json mutation
@@ -653,9 +653,17 @@ class TestTraces:
             assert np.array_equal(states[:, 1], outcome.trace["y"])
             assert np.array_equal(states[:, 2], outcome.trace["psi"])
 
-    # the replay's own rules, each pinned whole; test_cli's enumeration covers the reader's refusals
     @pytest.mark.parametrize("change, message", [
+        pytest.param({"dt": None}, "replay: missing key 'dt'", id="no-dt"),
+        pytest.param({"speed": 1.0}, "replay: unknown key 'speed'", id="unknown-key"),
         pytest.param({"dt": 0.0}, "dt must be > 0, got 0.0", id="zero-dt"),
+        pytest.param({"dt": math.inf}, "dt must be a finite number, got Infinity", id="inf-dt"),
+        pytest.param({"commands": [[0.5]]}, "commands[0] must be a list of 2, got [0.5]", id="one-entry"),
+        pytest.param({"commands": [[0.5, 0.1], [0.5]]}, "commands[1] must be a list of 2, got [0.5]",
+                     id="one-short-command"),
+        pytest.param({"commands": [[0.5, math.nan]]}, "commands[0][1] must be a finite number, got NaN",
+                     id="nan-command"),
+        pytest.param({"world": {"bounds": [0, 0, 1, 1]}}, "world: missing key 'start'", id="bad-world"),
         pytest.param({"method": "astar"}, f'method must be one of {METHODS}, got "astar"', id="bad-method"),
         pytest.param({"seed": -1}, "seed must be >= 0, got -1", id="negative-seed"),
     ])

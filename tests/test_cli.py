@@ -258,8 +258,7 @@ def test_bench_reads_each_checkpoint_once(tmp_path, monkeypatch, planner_file):
         assert len(json.load(f)["outcomes"]) == 3
 
 
-@pytest.mark.parametrize("change, message", [p for p in MALFORMED_SCENARIOS
-                                             if p.id in ("sensor-unknown", "fov-zero")])
+@pytest.mark.parametrize("change, message", MALFORMED_SCENARIOS)
 def test_episode_exits_naming_the_scenario_and_the_key(tmp_path, planner_file, change, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(scenario_doc(**change)))
@@ -330,10 +329,14 @@ def test_console_refusal_is_one_stderr_line(tmp_path):
     assert proc.stderr == f"{path}: not a readable npz archive\n"
 
 
-def test_replay_exits_in_one_line_naming_the_file(tmp_path):
+@pytest.mark.parametrize("change, message", [
+    pytest.param({"dt": None}, "replay: missing key 'dt'", id="no-dt"),
+    pytest.param({"commands": [[0.5]]}, "commands[0] must be a list of 2, got [0.5]", id="one-entry"),
+])
+def test_replay_exits_in_one_line_naming_the_file(tmp_path, change, message):
     path = tmp_path / "run_replay.json"
-    path.write_text(json.dumps(replay_doc(dt=None)))
-    with pytest.raises(SystemExit, match=rf"^{re.escape(str(path))}: replay: missing key 'dt'$"):
+    path.write_text(json.dumps(replay_doc(**change)))
+    with pytest.raises(SystemExit, match=f"^{re.escape(f'{path}: {message}')}$"):
         main(["replay", "--replay", str(path), "--out", str(tmp_path / "states.csv")])
     assert not (tmp_path / "states.csv").exists()
 

@@ -232,17 +232,9 @@ def clearance_cases(draw):
     return state, commands, cloud
 
 
-def indexed(state, commands, cloud):
-    return worst_case_clearance(state, commands, cloud, 0.1, 5.0, ClearanceIndex(state, cloud))
-
-
-def random_commands(rng, n, horizon, v_max=1.0):
-    return np.stack([rng.uniform(0, v_max, (n, horizon)), rng.uniform(-1, 1, (n, horizon))], axis=2)
-
-
 class TestWorstCaseClearanceExact:
-    """worst_case_clearance against the dense all-pairs evaluation, bit for bit. Without an
-    index the call builds the ClearanceIndex it would be passed, so one path serves both."""
+    """worst_case_clearance without an index (the call builds its own) against the
+    dense all-pairs evaluation, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(clearance_cases())
@@ -251,31 +243,24 @@ class TestWorstCaseClearanceExact:
         got = worst_case_clearance(state, commands, cloud, 0.1, 5.0)
         assert np.array_equal(got, dense_worst_case_clearance(state, commands, cloud, 0.1, 5.0))
 
-    @pytest.mark.parametrize("cloud", [
-        pytest.param(np.empty((0, 2)), id="empty"),
-        pytest.param(np.array([[1.0, 0.5]]), id="one-point"),
-        pytest.param(np.repeat([[1.0, 0.5], [-0.5, 2.0]], 5, axis=0), id="duplicated"),
-        pytest.param(np.array([[900.0, -700.0], [1e3, 1e3]]), id="far"),
-        pytest.param(np.array([[0.3, 0.2], [2.0, -1.0]]), id="two-points"),
-        pytest.param(np.array([[0.1, -0.2], [1.0, 0.5], [-0.7, 0.3]]), id="start-on-cloud"),
-        pytest.param(np.random.default_rng(5).normal([1.5, 0.4], 0.05, (200, 2)), id="cluster"),
-        pytest.param(np.random.default_rng(6).normal([[1.0, 1.0], [-2.0, 0.5], [0.5, -1.5]], 0.1, (60, 3, 2))
-                     .reshape(-1, 2), id="three-clusters"),
-        pytest.param(np.stack([0.1 + 1.2 * np.cos(np.linspace(0, 6.2, 150)),
-                               -0.2 + 1.2 * np.sin(np.linspace(0, 6.2, 150))], axis=1), id="ring-about-start"),
-        pytest.param(np.stack([np.linspace(-12, 12, 400), np.full(400, 2.5)], axis=1), id="wall-past-grid"),
-    ])
-    def test_named_clouds(self, cloud, rng):
-        # every batch without an index and through one index that serves them all in turn
+    @pytest.mark.parametrize(
+        "n, horizon, cloud",
+        [
+            (3, 50, np.empty((0, 2))),  # empty cloud -> cap
+            (4, 50, np.array([[1.0, 0.5]])),  # single point
+            (4, 50, np.repeat([[1.0, 0.5], [-0.5, 2.0]], 5, axis=0)),  # duplicated points
+            (4, 50, np.array([[900.0, -700.0], [1e3, 1e3]])),  # far beyond every rollout
+            (2, 12, np.array([[0.3, 0.2], [2.0, -1.0]])),  # a short horizon
+            (1, 50, np.array([[0.3, 0.2], [2.0, -1.0]])),  # n = 1
+            (3, 1, np.array([[0.3, 0.2], [2.0, -1.0]])),  # H = 1
+        ],
+    )
+    def test_named_cases(self, n, horizon, cloud, rng):
         state = RobotState(0.1, -0.2, 0.4)
-        index = ClearanceIndex(state, cloud)
-        batches = (random_commands(rng, 24, 50), np.zeros((3, 50, 2)), random_commands(rng, 2, 12),
-                   random_commands(rng, 1, 50), random_commands(rng, 5, 1))  # a short horizon, n = 1, H = 1
-        for commands in batches:
-            expected = dense_worst_case_clearance(state, commands, cloud, 0.1, 5.0)
-            for passed in (None, index):
-                got = worst_case_clearance(state, commands, cloud, 0.1, 5.0, passed)
-                assert np.array_equal(got, expected)
+        cmds = np.stack([rng.uniform(0, 1, (n, horizon)), rng.uniform(-1, 1, (n, horizon))], axis=2)
+        for commands in (cmds, np.zeros_like(cmds)):
+            got = worst_case_clearance(state, commands, cloud, 0.1, 5.0)
+            assert np.array_equal(got, dense_worst_case_clearance(state, commands, cloud, 0.1, 5.0))
 
     def test_dataset_labels_unchanged(self, monkeypatch):
         sensor = SensorConfig(noise=NoiseModel(range_bias_scale=0.2, additive_sigma=0.04))
@@ -362,9 +347,23 @@ class TestWorstCaseClearanceExact:
             )
 
 
+def indexed(state, commands, cloud):
+    return worst_case_clearance(state, commands, cloud, 0.1, 5.0, ClearanceIndex(state, cloud))
+
+
+def random_commands(rng, n, horizon, v_max=1.0):
+    return np.stack([rng.uniform(0, v_max, (n, horizon)), rng.uniform(-1, 1, (n, horizon))], axis=2)
+
+
 class TestClearanceIndex:
-    """What a passed ClearanceIndex adds: cells reused across queries, poses past the grid,
-    and the refusal of another start or cloud; against the dense evaluation, bit for bit."""
+    """worst_case_clearance through a ClearanceIndex against the dense evaluation, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(clearance_cases())
+    def test_equals_dense_reference(self, case):
+        state, commands, cloud = case
+        assert np.array_equal(indexed(state, commands, cloud),
+                              dense_worst_case_clearance(state, commands, cloud, 0.1, 5.0))
 
     @settings(max_examples=150, deadline=None)
     @given(clearance_cases(), st.integers(1, 6), st.integers(1, 30), st.integers(0, 2**32 - 1))
@@ -377,6 +376,30 @@ class TestClearanceIndex:
             for commands in batches:
                 assert np.array_equal(worst_case_clearance(state, commands, cloud, 0.1, 5.0, index),
                                       dense_worst_case_clearance(state, commands, cloud, 0.1, 5.0))
+
+    def test_empty_cloud_returns_cap(self, rng):
+        state = RobotState(0.3, -0.2, 0.1)
+        got = indexed(state, random_commands(rng, 4, 20), np.empty((0, 2)))
+        assert np.array_equal(got, np.full(4, 5.0))
+
+    @pytest.mark.parametrize(
+        "cloud",
+        [
+            np.array([[1.0, 0.5]]),  # a single point
+            np.array([[0.1, -0.2], [1.0, 0.5], [-0.7, 0.3]]),  # the start is a cloud point
+            np.random.default_rng(5).normal([1.5, 0.4], 0.05, (200, 2)),  # one tight cluster
+            np.random.default_rng(6).normal([[1.0, 1.0], [-2.0, 0.5], [0.5, -1.5]], 0.1, (60, 3, 2))
+            .reshape(-1, 2),  # three clusters
+            np.stack([0.1 + 1.2 * np.cos(np.linspace(0, 6.2, 150)),
+                      -0.2 + 1.2 * np.sin(np.linspace(0, 6.2, 150))], axis=1),  # ring about the start
+            np.stack([np.linspace(-12, 12, 400), np.full(400, 2.5)], axis=1),  # a wall past the grid
+        ],
+    )
+    def test_named_clouds(self, cloud, rng):
+        state = RobotState(0.1, -0.2, 0.4)
+        for commands in (random_commands(rng, 24, 50), np.zeros((3, 50, 2)), random_commands(rng, 5, 1)):
+            assert np.array_equal(indexed(state, commands, cloud),
+                                  dense_worst_case_clearance(state, commands, cloud, 0.1, 5.0))
 
     def test_commands_leave_the_grid(self, rng):
         # 150 steps at up to 1 m/s run past the grid's reach and past every place
@@ -413,6 +436,14 @@ class TestClearanceIndex:
         commands = random_commands(np.random.default_rng(3), 32, 50)
         got = indexed(state, commands, cloud)
         assert np.array_equal(got, dense_worst_case_clearance(state, commands, cloud, 0.1, 5.0))
+
+    def test_rejects_nonfinite_cloud(self):
+        with pytest.raises(ValueError, match="cloud_world"):
+            ClearanceIndex(RobotState(0, 0, 0), np.array([[1.0, 0.0], [np.inf, 2.0]]))
+
+    def test_rejects_nonfinite_start(self):
+        with pytest.raises(ValueError, match="initial state"):
+            ClearanceIndex(RobotState(0, np.nan, 0), np.ones((3, 2)))
 
     def test_rejects_another_start(self):
         cloud = np.array([[1.0, 0.0], [0.0, 2.0]])

@@ -506,26 +506,61 @@ def scenario_doc(**changes) -> dict:
     return doc
 
 
-# one row per message template of the reader, each pinned whole; the enumeration in test_cli
-# (test_every_mutation_is_refused_naming_its_path_or_read_back) pins only where each refusal starts
+# each section of a scenario: an unknown key, a missing key it requires, bad values and range rules
 MALFORMED_SCENARIOS = [
     pytest.param({"sensor.n_ray": 10}, "sensor: unknown key 'n_ray'", id="sensor-unknown"),
+    pytest.param({"sensor.noise.sigma": 0.1}, "sensor.noise: unknown key 'sigma'", id="noise-unknown"),
+    pytest.param({"world.start.vel": 0.5}, "world.start: unknown key 'vel'", id="start-unknown"),
     pytest.param({"world.start.psi": None}, "world.start: missing key 'psi'", id="start-missing"),
+    pytest.param({"world.obstacles.0.radios": 0.5}, "world.obstacles[0]: unknown key 'radios'",
+                 id="circle-unknown"),
+    pytest.param({"world.obstacles.0.radius": None}, "world.obstacles[0]: missing key 'radius'",
+                 id="circle-missing"),
+    pytest.param({"world.obstacles.1.center": [1.0, 1.0]}, "world.obstacles[1]: unknown key 'center'",
+                 id="box-unknown"),
+    pytest.param({"world.obstacles.1.max": None}, "world.obstacles[1]: missing key 'max'", id="box-missing"),
+    pytest.param({"world.walls": []}, "world: unknown key 'walls'", id="world-unknown"),
+    pytest.param({"world.goal": None}, "world: missing key 'goal'", id="world-missing"),
+    pytest.param({"world": None}, "scenario: missing key 'world'", id="scenario-missing"),
+    pytest.param({"sensr": {"n_rays": 60}}, "scenario: unknown key 'sensr'", id="scenario-unknown"),
+    pytest.param({"note": "kept"}, "scenario: unknown key 'note'", id="scenario-extra"),
+    pytest.param({"seed": 1.5}, "seed must be an integer, got 1.5", id="seed-float"),
+    pytest.param({"seed": True}, "seed must be an integer, got true", id="seed-bool"),
+    pytest.param({"seed": -3}, "seed must be >= 0, got -3", id="seed-negative"),
     pytest.param({"world.obstacles": [5]}, "world.obstacles[0] must be an object, got 5",
                  id="obstacle-not-object"),
     pytest.param({"world.obstacles": {"type": "box"}}, 'world.obstacles must be a list, got {"type": "box"}',
                  id="obstacles-not-list"),
+    pytest.param({"world.obstacles.0.center": [5.0]},
+                 "world.obstacles[0].center must be a list of 2, got [5.0]", id="center-short"),
     pytest.param({"world.obstacles.0.center": [5.0, 4.0, 1.0]},
                  "world.obstacles[0].center must be a list of 2, got [5.0, 4.0, 1.0]", id="center-long"),
-    pytest.param({"seed": True}, "seed must be an integer, got true", id="seed-bool"),
+    pytest.param({"world.obstacles.1.min": [2.0]},
+                 "world.obstacles[1].min must be a list of 2, got [2.0]", id="min-short"),
+    pytest.param({"world.obstacles.1.min": [2.0, 5.0, 0.0]},
+                 "world.obstacles[1].min must be a list of 2, got [2.0, 5.0, 0.0]", id="min-long"),
+    pytest.param({"world.obstacles.1.max": [3.0]},
+                 "world.obstacles[1].max must be a list of 2, got [3.0]", id="max-short"),
+    pytest.param({"world.obstacles.1.max": [3.0, 6.0, 0.0]},
+                 "world.obstacles[1].max must be a list of 2, got [3.0, 6.0, 0.0]", id="max-long"),
+    pytest.param({"sensor.n_rays": 2.5}, "sensor.n_rays must be an integer, got 2.5",
+                 id="sensor-float-count"),
+    pytest.param({"sensor.noise.drift_timescale": 2.5},
+                 "sensor.noise.drift_timescale must be an integer, got 2.5", id="noise-float-count"),
+    pytest.param({"sensor.noise.drift_timescale": True},
+                 "sensor.noise.drift_timescale must be an integer, got true", id="noise-bool-count"),
     pytest.param({"world.start.psi": math.nan}, "world.start.psi must be a finite number, got NaN",
                  id="start-nan"),
-    # a circle's key in a box passes the first key check of obstacle_from_dict, which knows every
-    # obstacle's keys: only the box's own check refuses it, and the enumeration adds no known key
-    pytest.param({"world.obstacles.1.center": [1.0, 1.0]}, "world.obstacles[1]: unknown key 'center'",
-                 id="box-unknown"),
+    pytest.param({"world.start.v": math.inf}, "world.start.v must be a finite number, got Infinity",
+                 id="start-inf"),
+    pytest.param({"world.goal": [5.0]}, "world.goal must be a list of 2, got [5.0]", id="goal-short"),
+    pytest.param({"world.goal": [9.0, 7.0, 1.0]}, "world.goal must be a list of 2, got [9.0, 7.0, 1.0]",
+                 id="goal-long"),
+    pytest.param({"world.goal": [9.0, math.nan]}, "world.goal[1] must be a finite number, got NaN",
+                 id="goal-nan"),
+    pytest.param({"world.bounds": [0, 0, 10]}, "world.bounds must be a list of 4, got [0, 0, 10]",
+                 id="bounds-short"),
     # range rules stay with the dataclass; a document's refusal names the object that broke one
-    pytest.param({"seed": -3}, "seed must be >= 0, got -3", id="seed-negative"),
     pytest.param({"world.obstacles.0.radius": -0.5}, "world.obstacles[0]: circle radius must be positive",
                  id="radius-negative"),
     pytest.param({"sensor.fov": 0}, "sensor: fov must be in (0, 2*pi]", id="fov-zero"),
@@ -564,3 +599,8 @@ class TestStrictScenario:
             world_from_dict(scenario_doc(**{"world.start.x": 10**400})["world"])
         assert world_from_dict(scenario_doc(**{"world.start.x": 10**300})["world"]).start.x == 10**300
 
+    def test_sensor_keys_are_not_dropped(self):
+        with pytest.raises(ValueError, match="sensor: unknown key 'n_ray'"):
+            _read({"n_ray": 10, "maxrange": 2.0}, SensorConfig, "sensor")
+        sensor = _read({"n_rays": 10, "max_range": 2.0}, SensorConfig, "sensor")
+        assert sensor == SensorConfig(n_rays=10, max_range=2.0)
